@@ -77,8 +77,11 @@ void NetClient::Close() {
 
 RpcStatus NetClient::SendFrame(MessageType type, uint32_t request_id,
                                const std::vector<uint8_t>& payload) {
+  return SendBytes(EncodeFrame(type, request_id, payload));
+}
+
+RpcStatus NetClient::SendBytes(const std::vector<uint8_t>& bytes) {
   if (fd_ < 0) return Transport("send on closed client");
-  const std::vector<uint8_t> bytes = EncodeFrame(type, request_id, payload);
   size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n =
@@ -95,14 +98,19 @@ RpcStatus NetClient::SendFrame(MessageType type, uint32_t request_id,
 }
 
 RpcStatus NetClient::ReadFrame(uint32_t expect_request_id, Frame* out) {
+  RpcStatus status = ReadAnyFrame(out);
+  if (status.ok() && out->request_id != expect_request_id) {
+    // One request in flight per call: any other id is a broken peer.
+    Close();
+    return Protocol("response for unexpected request id");
+  }
+  return status;
+}
+
+RpcStatus NetClient::ReadAnyFrame(Frame* out) {
   uint8_t buf[65536];
   for (;;) {
     if (auto frame = assembler_.Next()) {
-      if (frame->request_id != expect_request_id) {
-        // One request in flight per call: any other id is a broken peer.
-        Close();
-        return Protocol("response for unexpected request id");
-      }
       *out = std::move(*frame);
       return {};
     }
@@ -137,6 +145,11 @@ RpcStatus NetClient::Call(MessageType send_type,
   Frame frame;
   status = ReadFrame(id, &frame);
   if (!status.ok()) return status;
+  return Unwrap(std::move(frame), want, response_payload);
+}
+
+RpcStatus NetClient::Unwrap(Frame frame, MessageType want,
+                            std::vector<uint8_t>* response_payload) {
   if (frame.type == static_cast<uint8_t>(MessageType::kError)) {
     auto body = DecodeErrorBodyPayload(frame.payload);
     if (!body.has_value()) {
@@ -171,6 +184,52 @@ RpcStatus NetClient::Estimate(const runtime::EstimateRequest& request,
     return Protocol("undecodable EstimateResponse");
   }
   *out = *response;
+  return {};
+}
+
+RpcStatus NetClient::EstimatePipelined(
+    const std::vector<runtime::EstimateRequest>& requests,
+    std::vector<RpcStatus>* statuses,
+    std::vector<runtime::EstimateResponse>* out) {
+  const uint32_t first_id = next_request_id_;
+  next_request_id_ += static_cast<uint32_t>(requests.size());
+  std::vector<uint8_t> bytes;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    WireWriter w;
+    EncodeEstimateRequest(requests[i], w);
+    const std::vector<uint8_t> frame =
+        EncodeFrame(MessageType::kEstimateRequest,
+                    first_id + static_cast<uint32_t>(i), w.bytes());
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  RpcStatus status = SendBytes(bytes);
+  if (!status.ok()) return status;
+
+  statuses->assign(requests.size(), {});
+  out->assign(requests.size(), {});
+  std::vector<bool> answered(requests.size(), false);
+  for (size_t left = requests.size(); left > 0; --left) {
+    Frame frame;
+    status = ReadAnyFrame(&frame);
+    if (!status.ok()) return status;
+    const size_t i = frame.request_id - first_id;
+    if (i >= requests.size() || answered[i]) {
+      Close();
+      return Protocol("response for unexpected request id");
+    }
+    answered[i] = true;
+    std::vector<uint8_t> payload;
+    RpcStatus& item = (*statuses)[i];
+    item = Unwrap(std::move(frame), MessageType::kEstimateResponse, &payload);
+    if (item.code == RpcStatus::Code::kProtocolError) return item;
+    if (!item.ok()) continue;
+    auto response = DecodeEstimateResponsePayload(payload);
+    if (!response.has_value()) {
+      Close();
+      return Protocol("undecodable EstimateResponse");
+    }
+    (*out)[i] = *response;
+  }
   return {};
 }
 

@@ -1,8 +1,8 @@
 // Blocking request/response client for the estimation wire protocol: what a
 // remote global query optimizer (or the load generator) links to speak to
-// mscm_served. One socket, one outstanding request per call; request ids
-// are verified against the response echo. All failures are values, never
-// exceptions.
+// mscm_served. One socket; one outstanding request per call, except
+// EstimatePipelined. Request ids are verified against the response echo.
+// All failures are values, never exceptions.
 
 #ifndef MSCM_NET_CLIENT_H_
 #define MSCM_NET_CLIENT_H_
@@ -58,6 +58,13 @@ class NetClient {
 
   RpcStatus Estimate(const runtime::EstimateRequest& request,
                      runtime::EstimateResponse* out);
+  // Pipelines one estimate frame per request in a single write, then reads
+  // every answer. (*statuses)[i] and (*out)[i] answer requests[i]; the
+  // return value is the transport/protocol outcome of the whole exchange.
+  RpcStatus EstimatePipelined(
+      const std::vector<runtime::EstimateRequest>& requests,
+      std::vector<RpcStatus>* statuses,
+      std::vector<runtime::EstimateResponse>* out);
   RpcStatus EstimateBatch(const std::vector<runtime::EstimateRequest>& requests,
                           std::vector<runtime::EstimateResponse>* out);
   RpcStatus ChoosePlacement(
@@ -86,10 +93,14 @@ class NetClient {
  private:
   RpcStatus SendFrame(MessageType type, uint32_t request_id,
                       const std::vector<uint8_t>& payload);
+  RpcStatus SendBytes(const std::vector<uint8_t>& bytes);
   RpcStatus ReadFrame(uint32_t expect_request_id, Frame* out);
+  RpcStatus ReadAnyFrame(Frame* out);
   // Shared tail: expect `want` (or an error frame, mapped to kErrorFrame).
   RpcStatus Call(MessageType send_type, const std::vector<uint8_t>& payload,
                  MessageType want, std::vector<uint8_t>* response_payload);
+  RpcStatus Unwrap(Frame frame, MessageType want,
+                   std::vector<uint8_t>* response_payload);
 
   const NetClientConfig config_;
   int fd_ = -1;

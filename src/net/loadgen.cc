@@ -43,6 +43,11 @@ double GroundTruthCost(const runtime::EstimateRequest& request, int state,
   return drift_scale * (static_cast<double>(state) + 1.0) * base;
 }
 
+double MicrosSince(SteadyClock::time_point t) {
+  return std::chrono::duration<double, std::micro>(SteadyClock::now() - t)
+      .count();
+}
+
 // One connection's driving loop (closed or open discipline).
 void DriveConnection(const LoadGenConfig& config, size_t worker_index,
                      SteadyClock::time_point start,
@@ -68,22 +73,77 @@ void DriveConnection(const LoadGenConfig& config, size_t worker_index,
   size_t cursor = worker_index;  // de-phase the workload across connections
   Rng rng(0x9e3779b97f4a7c15ull ^ worker_index);  // feedback noise
   std::vector<runtime::EstimateRequest> batch;
+  // Open-loop single estimates may pipeline: a connection that fell behind
+  // its schedule sends every request due by now in one write, so arrivals
+  // past capacity reach the server instead of being silently omitted.
+  const bool pipelined = config.mode == LoadGenConfig::Mode::kOpen &&
+                         config.placement_candidates == 0 &&
+                         config.batch_size <= 1 && !config.feedback;
+  constexpr int64_t kMaxBurst = 64;
+
+  auto record = [&](const RpcStatus& status, size_t items,
+                    bool placement_chosen, double us) {
+    if (status.ok()) {
+      ++tally.completed;
+      tally.items += items;
+      if (placement_chosen) ++tally.placements_chosen;
+      tally.latencies_us.push_back(us);
+    } else if (status.overloaded()) {
+      ++tally.overloaded;
+    } else if (status.code == RpcStatus::Code::kErrorFrame) {
+      ++tally.error_frames;
+    } else {
+      ++tally.transport_errors;
+      // The connection died (server restart, drain, timeout): try once to
+      // come back rather than idling for the rest of the run.
+      if (!client.Connect(config.host, config.port)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+  };
+
   while (SteadyClock::now() < stop_at) {
+    int64_t due = 1;  // scheduled sends whose time has come
     if (config.mode == LoadGenConfig::Mode::kOpen) {
       const auto now = SteadyClock::now();
       if (now < next_send) {
         std::this_thread::sleep_until(std::min(next_send, stop_at));
         if (SteadyClock::now() >= stop_at) break;
       } else if (now > next_send + interval) {
-        ++tally.behind_schedule;  // coordinated-omission tell
+        // Behind schedule (the coordinated-omission tell): all but the
+        // newest due send are late by more than an interval.
+        if (pipelined && interval.count() > 0) {
+          due = std::min<int64_t>(kMaxBurst, 1 + (now - next_send) / interval);
+        }
+        tally.behind_schedule += static_cast<uint64_t>(std::max<int64_t>(
+            1, due - 1));
       }
-      next_send += interval;
+      next_send += interval * due;
+    }
+
+    const auto sent_at = SteadyClock::now();
+    if (due > 1) {
+      batch.clear();
+      for (int64_t i = 0; i < due; ++i) {
+        batch.push_back(config.workload[cursor % config.workload.size()]);
+        ++cursor;
+      }
+      std::vector<RpcStatus> statuses;
+      std::vector<runtime::EstimateResponse> responses;
+      const RpcStatus status =
+          client.EstimatePipelined(batch, &statuses, &responses);
+      const double us = MicrosSince(sent_at);
+      if (!status.ok()) {
+        record(status, 0, false, us);
+        continue;
+      }
+      for (const RpcStatus& item : statuses) record(item, 1, false, us);
+      continue;
     }
 
     RpcStatus status;
     size_t items = 0;
     bool placement_chosen = false;
-    const auto sent_at = SteadyClock::now();
     if (config.placement_candidates > 0) {
       // Placement traffic: one frame prices placement_candidates candidate
       // sites under the configured ranking policy. Shipping costs vary
@@ -145,27 +205,7 @@ void DriveConnection(const LoadGenConfig& config, size_t worker_index,
       status = client.EstimateBatch(batch, &responses);
       items = responses.size();
     }
-    const double us = std::chrono::duration<double, std::micro>(
-                          SteadyClock::now() - sent_at)
-                          .count();
-
-    if (status.ok()) {
-      ++tally.completed;
-      tally.items += items;
-      if (placement_chosen) ++tally.placements_chosen;
-      tally.latencies_us.push_back(us);
-    } else if (status.overloaded()) {
-      ++tally.overloaded;
-    } else if (status.code == RpcStatus::Code::kErrorFrame) {
-      ++tally.error_frames;
-    } else {
-      ++tally.transport_errors;
-      // The connection died (server restart, drain, timeout): try once to
-      // come back rather than idling for the rest of the run.
-      if (!client.Connect(config.host, config.port)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-    }
+    record(status, items, placement_chosen, MicrosSince(sent_at));
 
     if (config.mode == LoadGenConfig::Mode::kClosed &&
         config.think_time.count() > 0) {

@@ -9,11 +9,15 @@
 //     bounded by server latency; this measures capacity.
 //   * open loop — requests leave on a fixed schedule (target_rate across
 //     all connections) regardless of response times, the way independent
-//     optimizer clients arrive in aggregate. When the server saturates,
-//     latency grows and kOverloaded sheds appear instead of the rate
-//     silently degrading; `behind_schedule` counts sends the generator
-//     could not launch on time (a saturated *generator* would understate
-//     pressure — watch that column, it is the coordinated-omission tell).
+//     optimizer clients arrive in aggregate. A connection that falls behind
+//     its schedule sends every single-estimate request due by now at once,
+//     pipelined in one write (at most 64), so when the server saturates the
+//     excess arrives as a burst and past max_inflight gets kOverloaded
+//     sheds instead of the rate silently degrading. `behind_schedule`
+//     counts sends launched more than an interval late (a saturated
+//     *generator* would understate pressure — watch that column, it is the
+//     coordinated-omission tell). Batch, placement and feedback traffic
+//     keep one frame in flight per connection.
 
 #ifndef MSCM_NET_LOADGEN_H_
 #define MSCM_NET_LOADGEN_H_
@@ -81,7 +85,8 @@ struct LoadGenResult {
   double seconds = 0.0;
   double qps = 0.0;          // completed frames / second
   double items_per_sec = 0.0;
-  // Per-frame round-trip latency (successful responses only).
+  // Per-frame round-trip latency (successful responses only; a pipelined
+  // burst's frames each record the whole burst's round trip).
   double p50_us = 0.0;
   double p90_us = 0.0;
   double p99_us = 0.0;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -50,36 +51,60 @@ namespace {
 void Bump(std::atomic<uint64_t>& c, uint64_t n = 1) {
   c.fetch_add(n, std::memory_order_relaxed);
 }
+
+bool IsRequestType(uint8_t type) {
+  switch (static_cast<MessageType>(type)) {
+    case MessageType::kEstimateRequest:
+    case MessageType::kEstimateBatchRequest:
+    case MessageType::kPlacementRequest:
+    case MessageType::kStatsRequest:
+    case MessageType::kReportActual:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Response frames in `buf` that end past `sent`: computed, but the peer
+// never received them whole.
+uint64_t UnsentFrames(const std::vector<uint8_t>& buf, size_t sent) {
+  uint64_t n = 0;
+  for (size_t end = 0; end + kHeaderSize <= buf.size();) {
+    WireReader length(buf.data() + end + kHeaderSize - 4, 4);
+    end += kHeaderSize + length.TakeU32();
+    if (end > sent) ++n;
+  }
+  return n;
+}
+
 }  // namespace
 
+// Touched only by the owning IO loop (and by Stop() once the loops joined).
 struct EstimateServer::Connection {
   explicit Connection(uint32_t max_payload) : assembler(max_payload) {}
 
   int fd = -1;
-  size_t loop_index = 0;
-
-  // Read side — touched only by the owning IO loop.
   FrameAssembler assembler;
-  bool reading = true;           // EPOLLIN armed
-  bool write_armed = false;      // EPOLLOUT armed
+  bool reading = true;
+  uint32_t armed = EPOLLIN;  // the events epoll watches for this socket
   bool close_after_flush = false;
+  bool closed = false;
 
-  // Write side — workers append under the mutex, the loop flushes under it.
-  std::mutex write_mutex;
+  // Encoded responses in frame order. The buffer starts at a frame
+  // boundary (it is cleared only once fully sent); write_pos is how far
+  // the socket has taken it.
   std::vector<uint8_t> write_buf;
   size_t write_pos = 0;
-
-  std::atomic<bool> closed{false};
-  std::atomic<bool> want_write{false};
-  std::atomic<bool> kill{false};  // loop closes it at the next wake
 };
 
 struct EstimateServer::Loop {
   int epoll_fd = -1;
-  int wake_fd = -1;
+  int wake_fd = -1;  // Stop() wakes the loop to drain
   std::thread thread;
   bool reads_disabled = false;  // draining applied (loop thread)
+  std::vector<Frame> frames;    // one read's decoded frames (loop thread)
 
+  // Loop 0 inserts accepted connections into every loop's map.
   std::mutex conns_mutex;
   std::map<int, std::shared_ptr<Connection>> conns;
 };
@@ -242,32 +267,13 @@ void EstimateServer::Stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mutex_);
   if (!started_.load() || stopped_.load()) return;
 
-  // Phase 1: stop admitting. Accepts are refused, loops disable EPOLLIN on
-  // every connection, so no new frame can decode. Frames already decoded
-  // were answered or dispatched synchronously at decode time.
-  draining_.store(true);
-  for (auto& loop : loops_) WakeLoop(*loop);
-
-  // Phase 2: drain — every dispatched request must complete. Tasks are
-  // finite service computations on a live pool, so this terminates.
-  {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait(lock, [this] {
-      return inflight_.load(std::memory_order_seq_cst) == 0;
-    });
-  }
-
-  // Phase 3: flush queued responses to their peers (bounded: a peer that
-  // stopped reading forfeits its tail).
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.flush_timeout;
-  while (std::chrono::steady_clock::now() < deadline && !AllWritesFlushed()) {
-    for (auto& loop : loops_) WakeLoop(*loop);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  // Phase 4: stop the loops and close everything.
-  stopping_.store(true);
+  // Stop admitting: accepts are refused, and each loop disables reads at
+  // its next wake, so no new frame can decode. A loop answers every frame
+  // it decodes before it waits again, so once its reads are off nothing is
+  // in flight on it. It then flushes its write buffers (bounded: a peer
+  // that stopped reading forfeits its tail) and exits.
+  flush_deadline_ = std::chrono::steady_clock::now() + config_.flush_timeout;
+  draining_.store(true, std::memory_order_release);
   for (auto& loop : loops_) WakeLoop(*loop);
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
@@ -278,12 +284,7 @@ void EstimateServer::Stop() {
   }
   for (auto& loop : loops_) {
     std::lock_guard<std::mutex> lock(loop->conns_mutex);
-    for (auto& [fd, conn] : loop->conns) {
-      if (!conn->closed.exchange(true)) {
-        ::close(fd);
-        Bump(counters_->connections_closed);
-      }
-    }
+    for (auto& [fd, conn] : loop->conns) CloseSocket(*conn);
     loop->conns.clear();
     ::close(loop->epoll_fd);
     ::close(loop->wake_fd);
@@ -302,27 +303,11 @@ void EstimateServer::WakeLoop(Loop& loop) {
 void EstimateServer::LoopThread(size_t index) {
   Loop& loop = *loops_[index];
   epoll_event events[64];
-  while (!stopping_.load(std::memory_order_acquire)) {
+  for (;;) {
     const int n = ::epoll_wait(loop.epoll_fd, events, 64, 100);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (draining_.load(std::memory_order_acquire) && !loop.reads_disabled) {
-      // Disable reads everywhere: the admission gate slams shut once.
-      loop.reads_disabled = true;
-      std::vector<std::shared_ptr<Connection>> conns;
-      {
-        std::lock_guard<std::mutex> lock(loop.conns_mutex);
-        for (auto& [fd, conn] : loop.conns) conns.push_back(conn);
-      }
-      for (auto& conn : conns) {
-        conn->reading = false;
-        epoll_event ev{};
-        ev.events = conn->write_armed ? EPOLLOUT : 0;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-      }
+    if (n < 0 && errno != EINTR) break;
+    if (!loop.reads_disabled && draining_.load(std::memory_order_acquire)) {
+      DisableReads(loop);
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
@@ -330,10 +315,9 @@ void EstimateServer::LoopThread(size_t index) {
         uint64_t drained;
         while (::read(loop.wake_fd, &drained, sizeof(drained)) > 0) {
         }
-        ApplyWriteInterest(loop);
         continue;
       }
-      if (fd == listen_fd_ && index == 0) {
+      if (fd == listen_fd_) {
         AcceptReady();
         continue;
       }
@@ -345,16 +329,40 @@ void EstimateServer::LoopThread(size_t index) {
       }
       if (conn == nullptr) continue;
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        CloseConnection(loop, conn);
+        CloseConnection(loop, *conn);
         continue;
       }
       if ((events[i].events & EPOLLIN) != 0 && conn->reading) {
-        OnReadable(loop, conn);
+        OnReadable(loop, *conn);
       }
-      if (conn->closed.load(std::memory_order_relaxed)) continue;
-      if ((events[i].events & EPOLLOUT) != 0) OnWritable(loop, conn);
+      if ((events[i].events & EPOLLOUT) != 0 && !conn->closed) {
+        Flush(loop, *conn);
+      }
+    }
+    if (loop.reads_disabled &&
+        (!HasUnsentResponses(loop) ||
+         std::chrono::steady_clock::now() >= flush_deadline_)) {
+      break;
     }
   }
+}
+
+// The admission gate slams shut once per loop.
+void EstimateServer::DisableReads(Loop& loop) {
+  loop.reads_disabled = true;
+  std::lock_guard<std::mutex> lock(loop.conns_mutex);
+  for (auto& [fd, conn] : loop.conns) {
+    conn->reading = false;
+    UpdateInterest(loop, *conn);
+  }
+}
+
+bool EstimateServer::HasUnsentResponses(Loop& loop) {
+  std::lock_guard<std::mutex> lock(loop.conns_mutex);
+  for (const auto& [fd, conn] : loop.conns) {
+    if (conn->write_pos < conn->write_buf.size()) return true;
+  }
+  return false;
 }
 
 void EstimateServer::AcceptReady() {
@@ -379,7 +387,6 @@ void EstimateServer::AcceptReady() {
     conn->fd = fd;
     const size_t target =
         next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-    conn->loop_index = target;
     Loop& loop = *loops_[target];
     {
       std::lock_guard<std::mutex> lock(loop.conns_mutex);
@@ -391,193 +398,179 @@ void EstimateServer::AcceptReady() {
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      CloseConnection(loop, conn);
+      CloseConnection(loop, *conn);
     }
   }
 }
 
-void EstimateServer::OnReadable(Loop& loop,
-                                const std::shared_ptr<Connection>& conn) {
+// One read per readiness pass: level-triggered epoll reports the socket
+// again if more is queued, and skipping the read that would only say
+// EAGAIN saves a syscall per frame.
+void EstimateServer::OnReadable(Loop& loop, Connection& conn) {
   uint8_t buf[65536];
-  for (;;) {
-    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
-    if (n > 0) {
-      Bump(counters_->bytes_received, static_cast<uint64_t>(n));
-      if (!conn->assembler.Feed(buf, static_cast<size_t>(n))) {
-        // Stream poisoned: one typed error, flush it, close. Reading stops
-        // now so a garbage firehose cannot keep the connection busy.
-        Bump(counters_->malformed_frames);
-        QueueError(conn, 0, conn->assembler.error(), "unframeable bytes");
-        conn->reading = false;
-        conn->close_after_flush = true;
-        epoll_event ev{};
-        ev.events = conn->write_armed ? EPOLLOUT : 0;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-        return;
-      }
-      while (auto frame = conn->assembler.Next()) {
-        HandleFrame(loop, conn, std::move(*frame));
-        if (conn->closed.load(std::memory_order_relaxed)) return;
-      }
-      if (conn->assembler.buffered_bytes() > config_.max_read_buffer) {
-        Bump(counters_->read_limit_closes);
-        CloseConnection(loop, conn);
-        return;
-      }
-      continue;
-    }
-    if (n == 0) {
+  ssize_t n;
+  do {
+    n = ::read(conn.fd, buf, sizeof(buf));
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  if (n <= 0) {
+    CloseConnection(loop, conn);
+    return;
+  }
+  Bump(counters_->bytes_received, static_cast<uint64_t>(n));
+  if (!conn.assembler.Feed(buf, static_cast<size_t>(n))) {
+    // Stream poisoned: one typed error, flush it, close. Reading stops now
+    // so a garbage firehose cannot keep the connection busy.
+    Bump(counters_->malformed_frames);
+    QueueError(conn, 0, conn.assembler.error(), "unframeable bytes");
+    conn.reading = false;
+    conn.close_after_flush = true;
+  } else {
+    ServeFrames(loop, conn);
+    if (conn.assembler.buffered_bytes() > config_.max_read_buffer) {
+      Bump(counters_->read_limit_closes);
       CloseConnection(loop, conn);
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
-    CloseConnection(loop, conn);
-    return;
   }
+  Flush(loop, conn);
 }
 
-void EstimateServer::OnWritable(Loop& loop,
-                                const std::shared_ptr<Connection>& conn) {
-  bool empty = false;
-  bool broken = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    while (conn->write_pos < conn->write_buf.size()) {
-      const ssize_t n =
-          ::write(conn->fd, conn->write_buf.data() + conn->write_pos,
-                  conn->write_buf.size() - conn->write_pos);
-      if (n > 0) {
-        Bump(counters_->bytes_sent, static_cast<uint64_t>(n));
-        conn->write_pos += static_cast<size_t>(n);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) broken = true;
-      break;
-    }
-    if (conn->write_pos == conn->write_buf.size()) {
-      conn->write_buf.clear();
-      conn->write_pos = 0;
-      conn->want_write.store(false, std::memory_order_release);
-      empty = true;
-    }
-  }
-  if (broken) {
-    CloseConnection(loop, conn);
-    return;
-  }
-  if (empty) {
-    epoll_event ev{};
-    ev.events = conn->reading ? EPOLLIN : 0;
-    ev.data.fd = conn->fd;
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-    conn->write_armed = false;
-    if (conn->close_after_flush) CloseConnection(loop, conn);
-  }
-}
-
-void EstimateServer::ApplyWriteInterest(Loop& loop) {
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(loop.conns_mutex);
-    for (auto& [fd, conn] : loop.conns) conns.push_back(conn);
-  }
-  for (auto& conn : conns) {
-    if (conn->kill.load(std::memory_order_acquire)) {
-      CloseConnection(loop, conn);
+// Writes queued responses until the socket would block (EPOLLOUT is armed
+// only then). Closes the connection on a write error, when more than
+// max_write_buffer is left unsent, or once a close_after_flush buffer is
+// sent.
+void EstimateServer::Flush(Loop& loop, Connection& conn) {
+  while (conn.write_pos < conn.write_buf.size()) {
+    const ssize_t n =
+        ::send(conn.fd, conn.write_buf.data() + conn.write_pos,
+               conn.write_buf.size() - conn.write_pos, MSG_NOSIGNAL);
+    if (n > 0) {
+      Bump(counters_->bytes_sent, static_cast<uint64_t>(n));
+      conn.write_pos += static_cast<size_t>(n);
       continue;
     }
-    if (conn->want_write.load(std::memory_order_acquire) &&
-        !conn->write_armed) {
-      epoll_event ev{};
-      ev.events = static_cast<uint32_t>(conn->reading ? EPOLLIN : 0) |
-                  EPOLLOUT;
-      ev.data.fd = conn->fd;
-      if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-        conn->write_armed = true;
-      }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    CloseConnection(loop, conn);
+    return;
+  }
+  const size_t unsent = conn.write_buf.size() - conn.write_pos;
+  if (unsent == 0) {
+    conn.write_buf.clear();
+    conn.write_pos = 0;
+    if (conn.close_after_flush) {
+      CloseConnection(loop, conn);
+      return;
     }
+  } else if (unsent > config_.max_write_buffer) {
+    // A peer that will not read its responses is disconnected, not
+    // buffered without bound.
+    Bump(counters_->write_limit_closes);
+    CloseConnection(loop, conn);
+    return;
+  }
+  UpdateInterest(loop, conn);
+}
+
+// Watches EPOLLIN while reading and EPOLLOUT while responses wait on a
+// full socket; a syscall only when that set changes.
+void EstimateServer::UpdateInterest(Loop& loop, Connection& conn) {
+  const uint32_t want =
+      (conn.reading ? uint32_t{EPOLLIN} : 0u) |
+      (conn.write_pos < conn.write_buf.size() ? uint32_t{EPOLLOUT} : 0u);
+  if (want == conn.armed) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = conn.fd;
+  if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
+    conn.armed = want;
   }
 }
 
-void EstimateServer::CloseConnection(Loop& loop,
-                                     const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.exchange(true)) return;
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
+void EstimateServer::CloseConnection(Loop& loop, Connection& conn) {
+  if (conn.closed) return;
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
   {
+    // Before the close: once the fd number is free, loop 0 may accept a
+    // new connection onto it.
     std::lock_guard<std::mutex> lock(loop.conns_mutex);
-    loop.conns.erase(conn->fd);
+    loop.conns.erase(conn.fd);
   }
+  CloseSocket(conn);
+}
+
+// Closes the socket; responses it has not sent are forfeited and counted.
+void EstimateServer::CloseSocket(Connection& conn) {
+  conn.closed = true;
+  Bump(counters_->dropped_responses,
+       UnsentFrames(conn.write_buf, conn.write_pos));
+  ::close(conn.fd);
   num_connections_.fetch_sub(1, std::memory_order_relaxed);
   Bump(counters_->connections_closed);
 }
 
 // ---- Frame handling ---------------------------------------------------------
 
-void EstimateServer::HandleFrame(Loop& loop,
-                                 const std::shared_ptr<Connection>& conn,
-                                 Frame frame) {
-  (void)loop;
-  Bump(counters_->frames_received);
-  const uint32_t id = frame.request_id;
-  if (draining_.load(std::memory_order_acquire)) {
-    Bump(counters_->shutdown_shed);
-    QueueError(conn, id, WireError::kShuttingDown, "server draining");
-    return;
+void EstimateServer::ServeFrames(Loop& loop, Connection& conn) {
+  // Decode every complete frame of this read before serving any, so
+  // admission sees a pipelined burst whole: a frame counts against
+  // max_inflight from decode time until its response is queued.
+  std::vector<Frame>& frames = loop.frames;
+  frames.clear();
+  while (auto frame = conn.assembler.Next()) {
+    frames.push_back(std::move(*frame));
   }
-  if (!IsKnownMessageType(frame.type)) {
-    Bump(counters_->unknown_type_frames);
-    QueueError(conn, id, WireError::kUnknownType,
-               Format("unknown message type %u", frame.type));
-    return;
+  if (frames.empty()) return;
+  Bump(counters_->frames_received, frames.size());
+
+  const bool draining = draining_.load(std::memory_order_acquire);
+  size_t requests = 0;
+  if (!draining) {
+    for (const Frame& frame : frames) requests += IsRequestType(frame.type);
   }
-  const MessageType type = static_cast<MessageType>(frame.type);
-  if (type != MessageType::kEstimateRequest &&
-      type != MessageType::kEstimateBatchRequest &&
-      type != MessageType::kPlacementRequest &&
-      type != MessageType::kStatsRequest &&
-      type != MessageType::kReportActual) {
-    Bump(counters_->invalid_requests);
-    QueueError(conn, id, WireError::kInvalidRequest,
-               std::string(ToString(type)) + " is not a request");
-    return;
+  size_t admitted = 0;
+  if (requests > 0) {
+    const size_t before =
+        inflight_.fetch_add(requests, std::memory_order_relaxed);
+    admitted = before >= config_.max_inflight
+                   ? 0
+                   : std::min(requests, config_.max_inflight - before);
+    if (admitted < requests) {
+      inflight_.fetch_sub(requests - admitted, std::memory_order_relaxed);
+    }
+    if (admitted > 0) Bump(counters_->requests_dispatched, admitted);
   }
-  // Admission control: shed rather than queue without bound.
-  const size_t in_flight =
-      inflight_.fetch_add(1, std::memory_order_seq_cst);
-  if (in_flight >= config_.max_inflight) {
-    FinishInflightOnly();
-    Bump(counters_->overload_shed);
-    QueueError(conn, id, WireError::kOverloaded, "server overloaded");
-    return;
+
+  // Answer in frame order.
+  for (const Frame& frame : frames) {
+    const uint32_t id = frame.request_id;
+    if (draining) {
+      Bump(counters_->shutdown_shed);
+      QueueError(conn, id, WireError::kShuttingDown, "server draining");
+    } else if (!IsKnownMessageType(frame.type)) {
+      Bump(counters_->unknown_type_frames);
+      QueueError(conn, id, WireError::kUnknownType,
+                 Format("unknown message type %u", frame.type));
+    } else if (!IsRequestType(frame.type)) {
+      Bump(counters_->invalid_requests);
+      QueueError(conn, id, WireError::kInvalidRequest,
+                 std::string(ToString(static_cast<MessageType>(frame.type))) +
+                     " is not a request");
+    } else if (admitted == 0) {
+      // Admission control: shed rather than queue without bound.
+      Bump(counters_->overload_shed);
+      QueueError(conn, id, WireError::kOverloaded, "server overloaded");
+    } else {
+      --admitted;
+      ServeFrame(conn, frame);
+      Bump(counters_->requests_completed);
+      inflight_.fetch_sub(1, std::memory_order_relaxed);
+    }
   }
-  Bump(counters_->requests_dispatched);
-  auto shared_frame = std::make_shared<Frame>(std::move(frame));
-  service_->worker_pool().Submit([this, conn, shared_frame] {
-    ServeFrame(conn, *shared_frame);
-    FinishRequest(conn);
-  });
 }
 
-// Undo an admission increment that never became a dispatch.
-void EstimateServer::FinishInflightOnly() {
-  if (inflight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    drain_cv_.notify_all();
-  }
-}
-
-void EstimateServer::FinishRequest(const std::shared_ptr<Connection>& conn) {
-  (void)conn;
-  Bump(counters_->requests_completed);
-  FinishInflightOnly();
-}
-
-void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
-                                const Frame& frame) {
+void EstimateServer::ServeFrame(Connection& conn, const Frame& frame) {
   const uint32_t id = frame.request_id;
   const MessageType type = static_cast<MessageType>(frame.type);
   try {
@@ -663,7 +656,7 @@ void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
         return;
       }
       default:
-        // Unreachable: HandleFrame admits only the five request types.
+        // Unreachable: ServeFrames admits only the five request types.
         QueueError(conn, id, WireError::kInternal, "bad dispatch");
         return;
     }
@@ -710,64 +703,21 @@ std::map<std::string, uint64_t> EstimateServer::NetCounterEntries() const {
 
 // ---- Write path -------------------------------------------------------------
 
-void EstimateServer::QueueResponse(const std::shared_ptr<Connection>& conn,
-                                   std::vector<uint8_t> bytes) {
+void EstimateServer::QueueResponse(Connection& conn,
+                                   const std::vector<uint8_t>& bytes) {
   Bump(counters_->responses_sent);
-  QueueBytes(conn, std::move(bytes));
+  QueueBytes(conn, bytes);
 }
 
-void EstimateServer::QueueError(const std::shared_ptr<Connection>& conn,
-                                uint32_t request_id, WireError code,
-                                const std::string& message) {
+void EstimateServer::QueueError(Connection& conn, uint32_t request_id,
+                                WireError code, const std::string& message) {
   Bump(counters_->error_frames_sent);
   QueueBytes(conn, EncodeErrorFrame(request_id, code, message));
 }
 
-void EstimateServer::QueueBytes(const std::shared_ptr<Connection>& conn,
-                                std::vector<uint8_t> bytes) {
-  if (conn->closed.load(std::memory_order_acquire)) {
-    Bump(counters_->dropped_responses);
-    return;
-  }
-  bool overflow = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    const size_t pending = conn->write_buf.size() - conn->write_pos;
-    if (pending + bytes.size() > config_.max_write_buffer) {
-      overflow = true;
-    } else {
-      if (conn->write_pos > 0 && conn->write_pos == conn->write_buf.size()) {
-        conn->write_buf.clear();
-        conn->write_pos = 0;
-      }
-      conn->write_buf.insert(conn->write_buf.end(), bytes.begin(),
-                             bytes.end());
-    }
-  }
-  if (overflow) {
-    // A peer that will not read its responses is disconnected, not buffered
-    // without bound.
-    Bump(counters_->write_limit_closes);
-    conn->kill.store(true, std::memory_order_release);
-  } else {
-    conn->want_write.store(true, std::memory_order_release);
-  }
-  WakeLoop(*loops_[conn->loop_index]);
-}
-
-bool EstimateServer::AllWritesFlushed() const {
-  for (const auto& loop : loops_) {
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-      std::lock_guard<std::mutex> lock(loop->conns_mutex);
-      for (const auto& [fd, conn] : loop->conns) conns.push_back(conn);
-    }
-    for (const auto& conn : conns) {
-      std::lock_guard<std::mutex> lock(conn->write_mutex);
-      if (conn->write_pos < conn->write_buf.size()) return false;
-    }
-  }
-  return true;
+void EstimateServer::QueueBytes(Connection& conn,
+                                const std::vector<uint8_t>& bytes) {
+  conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
 }
 
 }  // namespace mscm::net

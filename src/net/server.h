@@ -2,36 +2,40 @@
 // MDBS agent finally answers cost questions over a socket, the way the
 // paper's remote global query optimizers would ask them.
 //
-// Architecture (one process, no RPC framework):
+// Architecture (one process, no RPC framework): run to completion.
 //
 //   listener ──▶ accept (loop 0) ──▶ connection assigned round-robin to an
-//   IO event loop (epoll, level-triggered). The loop owns the connection's
-//   read side: bytes → FrameAssembler → frames. Each decoded frame passes
-//   admission control and is dispatched as one task onto the
-//   EstimationService's ThreadPool; the task decodes the payload at the
-//   wire boundary (see wire_format.h), computes through the service, and
-//   queues the encoded response on the connection's write buffer. An
-//   eventfd wake tells the owning loop to flush (workers never write to the
-//   socket themselves — the loop is the only writer, so response bytes of
-//   concurrent tasks never interleave mid-frame).
+//   IO event loop (epoll, level-triggered). The loop owns the connection
+//   outright. Each readiness pass reads once, decodes every complete frame
+//   of that read, serves each one through the service on the loop thread
+//   (decoding the payload at the wire boundary, see wire_format.h), appends
+//   the encoded responses to the connection's write buffer in frame order,
+//   and writes them once when the read's frames are done. EPOLLOUT is armed
+//   only when that write would block. No frame ever leaves its loop, so no
+//   lock or wakeup sits between a request and its response. The service's
+//   ThreadPool only fans out EstimateBatch items and runs refresh work.
 //
 // Admission control — the server prefers shedding to buffering:
-//   * max_inflight bounds dispatched-but-unanswered requests server-wide;
-//     past it, requests get an immediate kOverloaded error frame instead of
-//     queueing (the client retries elsewhere / later — that is the
-//     load-shed contract, see DESIGN.md §8).
+//   * max_inflight bounds requests taken off the socket and not yet
+//     answered, server-wide. A frame counts from decode time, and a read's
+//     frames are all decoded before any is served, so a pipelined burst
+//     past the bound gets immediate kOverloaded error frames for its excess
+//     (the client retries elsewhere / later — that is the load-shed
+//     contract, see DESIGN.md §8).
 //   * max_read_buffer bounds unparsed inbound bytes per connection; a peer
 //     that streams frames faster than it drains responses is disconnected,
 //     not buffered without bound.
-//   * max_write_buffer bounds queued outbound bytes per connection; a peer
-//     that stops reading its responses is disconnected.
+//   * max_write_buffer bounds unsent outbound bytes per connection after a
+//     write; a peer that stops reading its responses is disconnected. It is
+//     the only backpressure on a peer that pipelines without reading.
 //   * max_connections bounds accepted sockets; past it, accepts are closed
 //     immediately.
 //
-// Graceful shutdown (Stop): stop accepting → stop admitting (reads are
-// disabled, so no new frames decode) → drain every dispatched request →
-// flush response buffers (bounded by flush_timeout) → close. A request that
-// was admitted is therefore always answered before its connection closes —
+// Graceful shutdown (Stop): stop accepting → each loop disables reads at
+// its next wake (no new frame decodes; the frames of the pass it was in are
+// already answered, so nothing is in flight) → each loop flushes its write
+// buffers (bounded by flush_timeout) and exits → close. A request that was
+// admitted is therefore always answered before its connection closes —
 // never dropped silently. Full-stack teardown order is
 //   server.Stop() → ModelRefreshDaemon dtor → service.StopProbing() →
 //   EstimationService dtor (ThreadPool join)
@@ -43,7 +47,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -67,13 +70,14 @@ struct EstimateServerConfig {
   // any buffering toward them (capped at wire_format's kMaxPayloadBytes).
   uint32_t max_frame_payload = kMaxPayloadBytes;
   size_t max_connections = 1024;
-  // Server-wide bound on dispatched-but-unanswered requests; 0 sheds
-  // everything (useful to force the overload path in tests).
+  // Server-wide bound on requests taken off the socket and not yet
+  // answered; 0 sheds everything (useful to force the overload path in
+  // tests).
   size_t max_inflight = 256;
   size_t max_read_buffer = 1u << 20;
   size_t max_write_buffer = 1u << 22;
   // Stop(): how long to keep flushing queued responses to slow readers
-  // after the in-flight drain completes.
+  // once reads are disabled.
   std::chrono::milliseconds flush_timeout{2000};
   // Sink for kReportActual frames (typically AdaptationController::Record).
   // Returns whether the report was buffered; the ack echoes that. Null =
@@ -91,8 +95,8 @@ struct NetServerStatsSnapshot {
   uint64_t frames_received = 0;
   uint64_t malformed_frames = 0;     // stream poisoned; connection closed
   uint64_t unknown_type_frames = 0;  // answered kUnknownType, kept open
-  uint64_t requests_dispatched = 0;  // admitted onto the pool
-  uint64_t requests_completed = 0;   // dispatched tasks finished
+  uint64_t requests_dispatched = 0;  // admitted past max_inflight
+  uint64_t requests_completed = 0;   // admitted requests answered
   uint64_t responses_sent = 0;       // data responses enqueued
   uint64_t error_frames_sent = 0;    // error frames enqueued
   uint64_t invalid_requests = 0;     // kInvalidRequest at the wire boundary
@@ -101,7 +105,7 @@ struct NetServerStatsSnapshot {
   uint64_t internal_errors = 0;      // handler threw; answered kInternal
   uint64_t read_limit_closes = 0;
   uint64_t write_limit_closes = 0;
-  uint64_t dropped_responses = 0;  // computed, but the peer had gone away
+  uint64_t dropped_responses = 0;  // computed, but closed before sent
   uint64_t estimates = 0;
   uint64_t batches = 0;
   uint64_t batch_items = 0;
@@ -116,8 +120,8 @@ struct NetServerStatsSnapshot {
 
 class EstimateServer {
  public:
-  // `service` must outlive the server; request tasks run on
-  // service->worker_pool() (inline on the IO loop with zero workers).
+  // `service` must outlive the server; requests are served on the IO
+  // loops (see the header comment).
   explicit EstimateServer(runtime::EstimationService* service,
                           EstimateServerConfig config = {});
   ~EstimateServer();  // calls Stop()
@@ -140,35 +144,34 @@ class EstimateServer {
 
   NetServerStatsSnapshot Stats() const;
 
-  // Dispatched-but-unanswered requests right now (admission gauge).
+  // Admitted-but-unanswered requests right now (admission gauge).
   size_t inflight() const { return inflight_.load(std::memory_order_relaxed); }
 
  private:
   struct Connection;
   struct Loop;
 
+  // Loop-thread members take Connection& from a caller that holds the
+  // connection's shared_ptr, so a close cannot free it under them.
   void LoopThread(size_t index);
   void AcceptReady();
-  void OnReadable(Loop& loop, const std::shared_ptr<Connection>& conn);
-  void OnWritable(Loop& loop, const std::shared_ptr<Connection>& conn);
-  void HandleFrame(Loop& loop, const std::shared_ptr<Connection>& conn,
-                   Frame frame);
-  // The dispatched task body: decode, compute, enqueue the response.
-  void ServeFrame(const std::shared_ptr<Connection>& conn, const Frame& frame);
-  void FinishRequest(const std::shared_ptr<Connection>& conn);
-  void FinishInflightOnly();
+  void DisableReads(Loop& loop);
+  bool HasUnsentResponses(Loop& loop);
+  void OnReadable(Loop& loop, Connection& conn);
+  void ServeFrames(Loop& loop, Connection& conn);
+  // Decodes one admitted request, computes it, and queues the response.
+  void ServeFrame(Connection& conn, const Frame& frame);
   void CountBoundaryReject(WireError code);
   std::map<std::string, uint64_t> NetCounterEntries() const;
-  void QueueBytes(const std::shared_ptr<Connection>& conn,
-                  std::vector<uint8_t> bytes);
-  void QueueResponse(const std::shared_ptr<Connection>& conn,
-                     std::vector<uint8_t> bytes);
-  void QueueError(const std::shared_ptr<Connection>& conn, uint32_t request_id,
-                  WireError code, const std::string& message);
-  void CloseConnection(Loop& loop, const std::shared_ptr<Connection>& conn);
+  void QueueBytes(Connection& conn, const std::vector<uint8_t>& bytes);
+  void QueueResponse(Connection& conn, const std::vector<uint8_t>& bytes);
+  void QueueError(Connection& conn, uint32_t request_id, WireError code,
+                  const std::string& message);
+  void Flush(Loop& loop, Connection& conn);
+  void UpdateInterest(Loop& loop, Connection& conn);
+  void CloseConnection(Loop& loop, Connection& conn);
+  void CloseSocket(Connection& conn);
   void WakeLoop(Loop& loop);
-  void ApplyWriteInterest(Loop& loop);
-  bool AllWritesFlushed() const;
 
   runtime::EstimationService* const service_;
   const EstimateServerConfig config_;
@@ -181,13 +184,12 @@ class EstimateServer {
 
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
   std::mutex stop_mutex_;  // serializes Stop()
+  // Written by Stop() before draining_ is set; loops read it after.
+  std::chrono::steady_clock::time_point flush_deadline_;
 
   std::atomic<size_t> inflight_{0};
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
 
   // Counters (relaxed; the serving boundary is not the hot path the sharded
   // runtime counters protect).

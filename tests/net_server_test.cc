@@ -10,9 +10,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -90,10 +92,12 @@ class RawConn {
 
   bool connected() const { return connected_; }
 
+  // One send() call per try; false once the server has closed on us.
   bool SendAll(const std::vector<uint8_t>& bytes) {
     size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, 0);
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
       if (n <= 0) return false;
       off += static_cast<size_t>(n);
     }
@@ -101,37 +105,47 @@ class RawConn {
   }
 
   // Reads until one frame assembles, the peer closes (empty payload,
-  // eof=true), or the receive deadline hits.
+  // eof=true), or the receive deadline hits. Frames that arrived together
+  // stay buffered for the next call.
   std::optional<Frame> ReadFrame(bool* eof = nullptr) {
     if (eof != nullptr) *eof = false;
-    FrameAssembler a;
     uint8_t buf[512];
     while (true) {
-      if (auto frame = a.Next()) return frame;
+      if (auto frame = assembler_.Next()) return frame;
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n == 0) {
         if (eof != nullptr) *eof = true;
         return std::nullopt;
       }
       if (n < 0) return std::nullopt;
-      if (!a.Feed(buf, static_cast<size_t>(n))) return std::nullopt;
+      if (!assembler_.Feed(buf, static_cast<size_t>(n))) return std::nullopt;
     }
   }
 
   // True if the server closes the connection (within the recv deadline).
+  // A server that closes with our bytes still unread sends a reset, so
+  // ECONNRESET is a close too; the SO_RCVTIMEO timeout (EAGAIN) is not.
   bool WaitForClose() {
     uint8_t buf[512];
     while (true) {
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n == 0) return true;
-      if (n < 0) return false;
+      if (n < 0) return errno == ECONNRESET;
     }
   }
 
  private:
   int fd_ = -1;
   bool connected_ = false;
+  FrameAssembler assembler_;
 };
+
+std::vector<uint8_t> EstimateFrame(uint32_t request_id,
+                                   const EstimateRequest& request) {
+  WireWriter w;
+  EncodeEstimateRequest(request, w);
+  return EncodeFrame(MessageType::kEstimateRequest, request_id, w.bytes());
+}
 
 // ---- Happy paths ------------------------------------------------------------
 
@@ -356,6 +370,33 @@ TEST_F(NetServerTest, PipelinedRequestsOnOneConnection) {
   }
 }
 
+TEST_F(NetServerTest, PipelinedEstimatesAreAllAnswered) {
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", served_->port()));
+  std::vector<EstimateRequest> requests;
+  for (int i = 0; i < 16; ++i) {
+    requests.push_back(ValidRequest(i % 2 == 0 ? "site0" : "site1"));
+    requests.back().features[0] = 1.0 + i;
+  }
+  std::vector<RpcStatus> statuses;
+  std::vector<EstimateResponse> responses;
+  ASSERT_TRUE(client.EstimatePipelined(requests, &statuses, &responses).ok());
+  ASSERT_EQ(statuses.size(), requests.size());
+  ASSERT_EQ(responses.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].message;
+    const EstimateResponse in_process =
+        served_->service().Estimate(requests[i]);
+    EXPECT_EQ(responses[i].state, in_process.state) << i;
+    EXPECT_DOUBLE_EQ(responses[i].estimate_seconds,
+                     in_process.estimate_seconds)
+        << i;
+  }
+  // The connection stays usable for ordinary calls.
+  EstimateResponse resp;
+  EXPECT_TRUE(client.Estimate(ValidRequest(), &resp).ok());
+}
+
 TEST_F(NetServerTest, ManyConcurrentConnections) {
   constexpr int kClients = 8;
   std::vector<std::thread> threads;
@@ -557,6 +598,65 @@ TEST(NetServerAdmissionTest, ZeroInflightShedsEverythingButStaysUp) {
   EXPECT_EQ(served.server().Stats().requests_dispatched, 0u);
 }
 
+TEST(NetServerAdmissionTest, PipelinedBurstPastTheBoundShedsItsExcess) {
+  ServedRuntimeConfig config = TestConfig();
+  config.server.max_inflight = 2;
+  ServedRuntime served(config);
+  std::string error;
+  ASSERT_TRUE(served.Start(&error)) << error;
+
+  RawConn conn(served.port());
+  ASSERT_TRUE(conn.connected());
+  // Eight estimate frames in one write arrive in one read. Admission counts
+  // them at decode time, before any is served: two fit the bound, six are
+  // shed.
+  std::vector<uint8_t> burst;
+  for (uint32_t id = 1; id <= 8; ++id) {
+    const std::vector<uint8_t> frame = EstimateFrame(id, ValidRequest());
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(conn.SendAll(burst));
+
+  std::map<uint32_t, int> answers;
+  int answered_ok = 0;
+  int overloaded = 0;
+  for (int i = 0; i < 8; ++i) {
+    const auto frame = conn.ReadFrame();
+    ASSERT_TRUE(frame.has_value()) << "answer " << i;
+    ++answers[frame->request_id];
+    if (frame->type == static_cast<uint8_t>(MessageType::kEstimateResponse)) {
+      ++answered_ok;
+    } else {
+      ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kError));
+      const auto body = DecodeErrorBodyPayload(frame->payload);
+      ASSERT_TRUE(body.has_value());
+      EXPECT_EQ(body->code, WireError::kOverloaded);
+      ++overloaded;
+    }
+  }
+  ASSERT_EQ(answers.size(), 8u);
+  for (const auto& [id, count] : answers) {
+    EXPECT_GE(id, 1u);
+    EXPECT_LE(id, 8u);
+    EXPECT_EQ(count, 1) << "request " << id;
+  }
+  EXPECT_EQ(answered_ok, 2);
+  EXPECT_EQ(overloaded, 6);
+
+  // Shedding is per frame, not per connection: the next request on the
+  // same socket is served, and it is the next frame to arrive.
+  ASSERT_TRUE(conn.SendAll(EstimateFrame(9, ValidRequest())));
+  const auto next = conn.ReadFrame();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->request_id, 9u);
+  EXPECT_EQ(next->type, static_cast<uint8_t>(MessageType::kEstimateResponse));
+
+  const NetServerStatsSnapshot stats = served.server().Stats();
+  EXPECT_EQ(stats.overload_shed, 6u);
+  EXPECT_EQ(stats.requests_dispatched, 3u);
+  EXPECT_EQ(stats.requests_completed, 3u);
+}
+
 TEST(NetServerAdmissionTest, ConnectionCapRejectsExtraSockets) {
   ServedRuntimeConfig config = TestConfig();
   config.server.max_connections = 2;
@@ -604,6 +704,43 @@ TEST(NetServerAdmissionTest, ReadLimitDisconnectsGarbageStreamers) {
   (void)conn.SendAll(bytes);  // may fail partway once the server closes us
   EXPECT_TRUE(conn.WaitForClose());
   EXPECT_GE(served.server().Stats().read_limit_closes, 1u);
+  EXPECT_TRUE(served.server().running());
+}
+
+TEST(NetServerAdmissionTest, WriteLimitDisconnectsPeersThatNeverRead) {
+  ServedRuntimeConfig config = TestConfig();
+  config.server.max_write_buffer = 4096;
+  ServedRuntime served(config);
+  std::string error;
+  ASSERT_TRUE(served.Start(&error)) << error;
+
+  // Pipeline estimate frames and never read: the responses fill the socket
+  // buffers, then the server's write buffer, and past max_write_buffer the
+  // server disconnects. The send cap bounds the test if it never does.
+  RawConn conn(served.port());
+  ASSERT_TRUE(conn.connected());
+  std::vector<uint8_t> burst;
+  uint32_t id = 0;
+  for (int i = 0; i < 64; ++i) {
+    const std::vector<uint8_t> frame = EstimateFrame(++id, ValidRequest());
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  for (int sent = 0; sent < 4096; ++sent) {
+    if (served.server().Stats().write_limit_closes > 0) break;
+    if (!conn.SendAll(burst)) break;
+  }
+  EXPECT_TRUE(conn.WaitForClose());
+  EXPECT_GE(served.server().Stats().write_limit_closes, 1u);
+
+  // The server still answers a fresh client.
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", served.port()));
+  EstimateResponse resp;
+  ASSERT_TRUE(client.Estimate(ValidRequest(), &resp).ok());
+  EXPECT_EQ(resp.status, EstimateStatus::kOk);
+
+  const NetServerStatsSnapshot stats = served.server().Stats();
+  EXPECT_EQ(stats.requests_dispatched, stats.requests_completed);
   EXPECT_TRUE(served.server().running());
 }
 
