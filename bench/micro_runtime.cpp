@@ -65,7 +65,8 @@
 // MSCM_RUNTIME_BENCH_REPS overrides the repetition count.
 // `--smoke` runs a bounded CI-sized pass (2000 requests, 1 rep), skips the
 // JSON write, and fails (exit 1) if any of these hold: the cached hot path
-// performed a shared atomic RMW per request, the paired degraded overhead
+// or the uncached single x1 / batch x1 rungs performed a shared atomic RMW
+// per request, the paired degraded overhead
 // fell below 0.8x (orientation check), expected-cost placement did not
 // strictly beat point-estimate placement on wrong-site rate in the
 // boundary-jitter duel, placement_expected_cost_wins stayed zero, the
@@ -79,6 +80,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <map>
 #include <string>
 #include <thread>
@@ -299,9 +301,7 @@ Result Run(const Scenario& scenario,
     });
   }
 
-  // Every drive() accumulates the thread's RmwProbe delta; the tally is
-  // reset after warmup so rmw_total covers exactly the timed pass.
-  std::atomic<uint64_t> rmw_total{0};
+  // drive() returns the calling thread's RmwProbe delta over its requests.
   auto drive = [&](size_t begin, size_t end) {
     const uint64_t rmw_before = runtime::RmwProbe::Current();
     if (scenario.batched) {
@@ -315,34 +315,49 @@ Result Run(const Scenario& scenario,
     } else {
       for (size_t i = begin; i < end; ++i) service->Estimate(requests[i]);
     }
-    rmw_total.fetch_add(runtime::RmwProbe::Current() - rmw_before,
-                        std::memory_order_relaxed);
+    return runtime::RmwProbe::Current() - rmw_before;
   };
 
-  // Warmup pass (1/8 of the workload, but at least one full cycle of the
-  // hot working set so cached scenarios enter the timed pass fully warm),
-  // then the timed pass.
-  drive(0, std::min(requests.size(),
-                    std::max<size_t>(requests.size() / 8, 512)));
-  rmw_total.store(0, std::memory_order_relaxed);
-
-  const auto started = Clock::now();
-  if (scenario.threads <= 1) {
-    drive(0, requests.size());
-  } else {
-    std::vector<std::thread> readers;
-    const size_t per = requests.size() / static_cast<size_t>(scenario.threads);
-    for (int t = 0; t < scenario.threads; ++t) {
-      const size_t begin = static_cast<size_t>(t) * per;
-      const size_t end = t + 1 == scenario.threads
-                             ? requests.size()
-                             : begin + per;
-      readers.emplace_back([&drive, begin, end] { drive(begin, end); });
+  // Readers are started before the clock, behind a start barrier, and the
+  // calling thread is reader 0 (so N readers are N threads, never N + 1 on N
+  // cores). Each reader first warms its own registry slot, counter shard,
+  // histogram stripe and cache shard on a prefix of its slice (1/8 of it,
+  // but at least one full cycle of the hot working set, so cached scenarios
+  // enter the timed pass fully warm), then spins until the go signal. The
+  // clock runs from the signal to the last reader's own finish time, so
+  // neither thread creation nor teardown is timed.
+  const int threads = std::max(1, scenario.threads);
+  const size_t per = requests.size() / static_cast<size_t>(threads);
+  std::latch ready(threads);
+  std::atomic<bool> go{false};
+  std::atomic<uint64_t> rmw_total{0};
+  Clock::time_point started;
+  std::vector<Clock::time_point> finished(static_cast<size_t>(threads));
+  auto reader = [&](int t) {
+    const size_t begin = static_cast<size_t>(t) * per;
+    const size_t end = t + 1 == threads ? requests.size() : begin + per;
+    drive(begin,
+          std::min(end, begin + std::max<size_t>((end - begin) / 8, 512)));
+    ready.count_down();
+    if (t == 0) {
+      ready.wait();
+      started = Clock::now();
+      go.store(true, std::memory_order_release);
+    } else {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
     }
-    for (std::thread& r : readers) r.join();
-  }
+    const uint64_t rmw = drive(begin, end);
+    finished[static_cast<size_t>(t)] = Clock::now();
+    rmw_total.fetch_add(rmw, std::memory_order_relaxed);
+  };
+  std::vector<std::thread> readers;
+  for (int t = 1; t < threads; ++t) readers.emplace_back(reader, t);
+  reader(0);
+  for (std::thread& r : readers) r.join();
   const double seconds =
-      std::chrono::duration<double>(Clock::now() - started).count();
+      std::chrono::duration<double>(
+          *std::max_element(finished.begin(), finished.end()) - started)
+          .count();
 
   if (scenario.with_writer) {
     writer_stop.store(true);
@@ -1080,6 +1095,9 @@ int main(int argc, char** argv) {
               degraded_overhead);
   std::printf("cached hot path shared RMWs per request:   %.3f (want 0)\n",
               results[8].rmw_per_request);
+  std::printf("uncached single/batch RMWs per request:    %.3f / %.3f "
+              "(want 0)\n",
+              results[0].rmw_per_request, results[1].rmw_per_request);
   std::printf("placement wrong-site rate point/expected:  %.3f / %.3f "
               "(%llu trials)\n",
               jitter.wrong_point_rate, jitter.wrong_expected_rate,
@@ -1109,6 +1127,17 @@ int main(int argc, char** argv) {
                   "cache/counters should make it exactly 0\n",
                   results[8].rmw_per_request);
       fail = true;
+    }
+    // The uncached rungs: a miss reads its site's seqlocked cell under the
+    // epoch-published view, so it too performs loads only.
+    for (const Result* r : {&results[0], &results[1]}) {
+      if (r->rmw_per_request != 0.0) {
+        std::printf("\nSMOKE FAIL: uncached %s performed %.3f shared atomic "
+                    "RMWs per request; the seqlocked site cell and the "
+                    "epoch-read view should make it exactly 0\n",
+                    r->scenario.name.c_str(), r->rmw_per_request);
+        fail = true;
+      }
     }
     if (!(degraded_overhead >= 0.8)) {
       std::printf("\nSMOKE FAIL: degraded_overhead_x %.3f — the healthy / "
@@ -1168,8 +1197,9 @@ int main(int argc, char** argv) {
       fail = true;
     }
     if (fail) return 1;
-    std::printf("\nsmoke ok: %zu requests/scenario, cached hot path served "
-                "with zero shared atomic RMWs, degraded overhead %.2fx, "
+    std::printf("\nsmoke ok: %zu requests/scenario, cached hot path and "
+                "uncached single/batch served with zero shared atomic RMWs, "
+                "degraded overhead %.2fx, "
                 "expected-cost wrong-site %.3f < point %.3f, drift recovery "
                 "%.1fx fewer observations via RLS\n",
                 n, degraded_overhead, jitter.wrong_expected_rate,

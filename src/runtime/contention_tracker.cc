@@ -28,7 +28,9 @@ ContentionTracker::ContentionTracker(ContentionTrackerConfig config,
     : config_(std::move(config)),
       probe_(std::move(probe)),
       probe_latency_(probe_latency),
-      published_cost_bits_(std::bit_cast<uint64_t>(kNoReading)),
+      own_cell_(config_.cell == nullptr ? std::make_unique<SiteCell>()
+                                        : nullptr),
+      cell_(config_.cell != nullptr ? config_.cell : own_cell_.get()),
       current_interval_ns_(config_.probe_interval.count()),
       breaker_(config_.breaker, config_.clock) {
   MSCM_CHECK(probe_ != nullptr);
@@ -36,6 +38,15 @@ ContentionTracker::ContentionTracker(ContentionTrackerConfig config,
   if (AdaptiveCadence(config_)) {
     MSCM_CHECK_MSG(config_.min_probe_interval <= config_.max_probe_interval,
                    "min_probe_interval must not exceed max_probe_interval");
+  }
+  // Take the cell over. The previous owner's reading is not ours to serve:
+  // reset it, and bump the version so entries priced from it retire.
+  std::lock_guard<std::mutex> lock(cell_->mutex);
+  cell_->owner = this;
+  if (cell_->has_value.load(std::memory_order_relaxed)) {
+    PublishLocked(false, kNoReading, -1, 0, 0);
+    cell_->stale_mark.store(0, std::memory_order_relaxed);
+    cell_->state_version.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -167,30 +178,28 @@ bool ContentionTracker::ProbeOnce() {
   int new_state = -1;
   bool changed = false;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (reading_.has_value && sequence <= reading_.sequence) {
+    std::lock_guard<std::mutex> lock(cell_->mutex);
+    SiteCell& cell = *cell_;
+    const bool first = !cell.has_value.load(std::memory_order_relaxed);
+    if (cell.owner != this ||
+        (!first && sequence <= cell.sequence.load(std::memory_order_relaxed))) {
       // A probe that started after this one already published: keep the newer
       // reading (and its timestamp — republishing would serve old contention
-      // as fresh).
+      // as fresh). A replaced tracker's late probe lands here too.
       discarded_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      const bool first = !reading_.has_value;
-      old_state = first ? -1 : reading_.state;
-      reading_.has_value = true;
-      reading_.probing_cost = cost;
-      reading_.state = mapper_ ? mapper_(cost) : -1;
-      reading_.sequence = sequence;
-      reading_at_ = config_.clock->Now();
-      published_stale_ = false;
-      new_state = reading_.state;
-      // Publish cost before version: a lock-free validator that sees the old
-      // version paired with the new cost falls back to its bounds check, which
-      // rejects exactly the entries this transition invalidates.
-      published_cost_bits_.store(std::bit_cast<uint64_t>(cost),
-                                 std::memory_order_release);
+      old_state = first ? -1 : cell.state.load(std::memory_order_relaxed);
+      new_state = mapper_ ? mapper_(cost) : -1;
+      // Cost is published before the version moves: a lock-free validator
+      // that sees the old version paired with the new cost falls back to its
+      // bounds check, which rejects exactly the entries this transition
+      // invalidates.
+      PublishLocked(true, cost, new_state, sequence,
+                    config_.clock->Now().time_since_epoch().count());
+      cell.stale_mark.store(sequence << 1, std::memory_order_release);
       changed = first || new_state != old_state;
       if (changed) {
-        state_version_.fetch_add(1, std::memory_order_release);
+        cell.state_version.fetch_add(1, std::memory_order_release);
         callback = state_change_;
       }
     }
@@ -208,79 +217,121 @@ void ContentionTracker::NotifyDegradedTransition(bool was_degraded) {
   StateChangeFn callback;
   int state = -1;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(cell_->mutex);
     // Responses cached before the flip embed the old degraded flag; bumping
     // the version retires them even though the state itself did not move.
-    state_version_.fetch_add(1, std::memory_order_release);
+    cell_->state_version.fetch_add(1, std::memory_order_release);
     callback = state_change_;
-    state = reading_.has_value ? reading_.state : -1;
+    if (cell_->has_value.load(std::memory_order_relaxed)) {
+      state = cell_->state.load(std::memory_order_relaxed);
+    }
   }
   if (callback) callback(state, state);
 }
 
-ProbeReading ContentionTracker::Current() const {
-  RmwProbe::Count(2);  // mutex_ lock + unlock — the probe-resolve RMW cost
-  std::lock_guard<std::mutex> lock(mutex_);
-  ProbeReading out = reading_;
-  out.degraded = breaker_.degraded();
-  if (out.has_value) {
-    const auto age = config_.clock->Now() - reading_at_;
-    out.age = std::chrono::duration_cast<std::chrono::nanoseconds>(age);
-    out.stale = out.age > config_.ttl;
-    if (out.stale != published_stale_) {
-      // Freshness changed since the last publication: responses cached under
-      // the old version carried the old stale flag, so retire them even
-      // though the state itself did not move.
-      published_stale_ = out.stale;
-      state_version_.fetch_add(1, std::memory_order_release);
+void ContentionTracker::PublishLocked(bool has_value, double cost, int state,
+                                      uint64_t sequence, int64_t at_ns) {
+  // Release on every field store keeps the odd `seq` ahead of it, and
+  // acquire on every field load keeps the reader's re-check behind it — no
+  // standalone fences (which ThreadSanitizer cannot model).
+  SiteCell& cell = *cell_;
+  const uint64_t seq = cell.seq.load(std::memory_order_relaxed);
+  cell.seq.store(seq + 1, std::memory_order_relaxed);
+  cell.has_value.store(has_value, std::memory_order_release);
+  cell.cost_bits.store(std::bit_cast<uint64_t>(cost),
+                       std::memory_order_release);
+  cell.state.store(state, std::memory_order_release);
+  cell.sequence.store(sequence, std::memory_order_release);
+  cell.reading_at_ns.store(at_ns, std::memory_order_release);
+  cell.seq.store(seq + 2, std::memory_order_release);
+}
+
+ProbeReading ContentionTracker::ReadAt(Clock::TimePoint now) const {
+  const SiteCell& cell = *cell_;
+  ProbeReading out;
+  int64_t at_ns = 0;
+  for (;;) {
+    const uint64_t seq = cell.seq.load(std::memory_order_acquire);
+    out.has_value = cell.has_value.load(std::memory_order_acquire);
+    out.probing_cost =
+        std::bit_cast<double>(cell.cost_bits.load(std::memory_order_acquire));
+    out.state = cell.state.load(std::memory_order_acquire);
+    out.sequence = cell.sequence.load(std::memory_order_acquire);
+    at_ns = cell.reading_at_ns.load(std::memory_order_acquire);
+    if ((seq & 1) == 0 && cell.seq.load(std::memory_order_relaxed) == seq) {
+      break;
+    }
+  }
+  const bool degraded = breaker_.degraded();
+  if (!out.has_value) {
+    out = ProbeReading{};
+    out.degraded = degraded;
+    return out;
+  }
+  out.degraded = degraded;
+  out.age = std::max(std::chrono::nanoseconds(0),
+                     std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         now.time_since_epoch() - Clock::Duration(at_ns)));
+  out.stale = out.age > config_.ttl;
+  // Freshness changed since it was last folded into the version: responses
+  // cached under the old version carried the old stale flag, so retire them
+  // even though the state itself did not move. Keyed on the reading's
+  // sequence, so a probe publishing meanwhile makes the swap fail.
+  const uint64_t mark = out.sequence << 1;
+  uint64_t expected = mark | (out.stale ? 0 : 1);
+  if (cell_->stale_mark.load(std::memory_order_acquire) == expected) {
+    RmwProbe::Count();
+    if (cell_->stale_mark.compare_exchange_strong(
+            expected, mark | (out.stale ? 1 : 0), std::memory_order_acq_rel)) {
+      RmwProbe::Count();
+      cell_->state_version.fetch_add(1, std::memory_order_release);
     }
   }
   return out;
-}
-
-double ContentionTracker::published_probing_cost() const {
-  return std::bit_cast<double>(
-      published_cost_bits_.load(std::memory_order_acquire));
 }
 
 void ContentionTracker::SetStateMapper(std::function<int(double)> mapper) {
   StateChangeFn callback;
   int old_state = -1;
   int new_state = -1;
-  bool changed = false;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(cell_->mutex);
+    SiteCell& cell = *cell_;
     mapper_ = std::move(mapper);
-    if (reading_.has_value) {
-      old_state = reading_.state;
-      reading_.state = mapper_ ? mapper_(reading_.probing_cost) : -1;
-      new_state = reading_.state;
+    if (cell.owner == this && cell.has_value.load(std::memory_order_relaxed)) {
+      const double cost =
+          std::bit_cast<double>(cell.cost_bits.load(std::memory_order_relaxed));
+      old_state = cell.state.load(std::memory_order_relaxed);
+      new_state = mapper_ ? mapper_(cost) : -1;
       if (new_state != old_state) {
-        changed = true;
-        state_version_.fetch_add(1, std::memory_order_release);
+        PublishLocked(true, cost, new_state,
+                      cell.sequence.load(std::memory_order_relaxed),
+                      cell.reading_at_ns.load(std::memory_order_relaxed));
+        cell.state_version.fetch_add(1, std::memory_order_release);
         callback = state_change_;
       }
     }
   }
-  if (changed && callback) callback(old_state, new_state);
+  if (callback) callback(old_state, new_state);
 }
 
 void ContentionTracker::SetStateBoundaries(std::vector<double> boundaries) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(cell_->mutex);
   boundaries_ = std::move(boundaries);
 }
 
 bool ContentionTracker::BoundaryDistance(double* distance,
                                          double* boundary) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!reading_.has_value || boundaries_.empty() ||
-      !std::isfinite(reading_.probing_cost)) {
+  std::lock_guard<std::mutex> lock(cell_->mutex);
+  const double cost = published_probing_cost();
+  if (!cell_->has_value.load(std::memory_order_relaxed) ||
+      boundaries_.empty() || !std::isfinite(cost)) {
     return false;
   }
   double best = std::numeric_limits<double>::infinity();
   double best_boundary = 0.0;
   for (double b : boundaries_) {
-    const double d = std::abs(reading_.probing_cost - b);
+    const double d = std::abs(cost - b);
     if (d < best) {
       best = d;
       best_boundary = b;
@@ -292,7 +343,7 @@ bool ContentionTracker::BoundaryDistance(double* distance,
 }
 
 void ContentionTracker::SetStateChangeCallback(StateChangeFn callback) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(cell_->mutex);
   state_change_ = std::move(callback);
 }
 
@@ -315,8 +366,7 @@ void ContentionTracker::RunLoop(uint64_t generation) {
     current_interval_ns_.store(interval.count(), std::memory_order_relaxed);
   }
   for (;;) {
-    const uint64_t version_before =
-        state_version_.load(std::memory_order_acquire);
+    const uint64_t version_before = state_version();
     const bool ok = ProbeOnce();
     // Re-evaluate freshness so a failed probe publishes the fresh→stale
     // transition (a successful one resets the age and publishes fresh).
@@ -324,8 +374,7 @@ void ContentionTracker::RunLoop(uint64_t generation) {
     if (adaptive) {
       // Any version movement — state flip, first reading, staleness
       // transition — counts as environment activity worth probing faster for.
-      const bool flipped =
-          state_version_.load(std::memory_order_acquire) != version_before;
+      const bool flipped = state_version() != version_before;
       interval = AdaptInterval(interval, flipped, config_.min_probe_interval,
                                config_.max_probe_interval);
       current_interval_ns_.store(interval.count(), std::memory_order_relaxed);

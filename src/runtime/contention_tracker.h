@@ -20,10 +20,14 @@
 #ifndef MSCM_RUNTIME_CONTENTION_TRACKER_H_
 #define MSCM_RUNTIME_CONTENTION_TRACKER_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -34,6 +38,50 @@
 #include "runtime/runtime_stats.h"
 
 namespace mscm::runtime {
+
+// One site's published contention reading, readable with loads alone, plus
+// the estimate cache's invalidation versions for the site. The estimation
+// service owns one cell per site name for its whole lifetime (a stable
+// address), so cache entries point at the cell instead of pinning a tracker;
+// a tracker that replaces another attaches to the same cell, resets the
+// reading and bumps state_version. A tracker built without a cell owns one.
+//
+// The reading is a seqlock: a writer (serialized by `mutex`) makes `seq` odd,
+// stores the fields and makes it even again; a reader retries until it sees
+// the same even `seq` on both sides of its field loads. Cache-line aligned so
+// one site's probes never invalidate another site's readers.
+struct alignas(64) SiteCell {
+  // (site, state) invalidation slots; states past the last share it.
+  static constexpr int kStateSlots = 16;
+  static int StateSlot(int state) {
+    return std::clamp(state, 0, kStateSlots - 1);
+  }
+
+  std::mutex mutex;             // serializes writers; guards `owner`
+  const void* owner = nullptr;  // the tracker allowed to publish
+
+  std::atomic<uint64_t> seq{0};
+  std::atomic<bool> has_value{false};
+  // The published probing cost (NaN until the first reading). Also read on
+  // its own, outside the seqlock, by the cache's validity check.
+  std::atomic<uint64_t> cost_bits{
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN())};
+  std::atomic<int> state{-1};
+  std::atomic<uint64_t> sequence{0};
+  std::atomic<int64_t> reading_at_ns{0};
+
+  // (sequence << 1) | stale: the staleness of reading `sequence` last folded
+  // into state_version. The fresh->stale flip is one compare-and-swap, so a
+  // TTL crossing bumps the version exactly once however many readers see it.
+  std::atomic<uint64_t> stale_mark{0};
+  // See ContentionTracker::state_version().
+  std::atomic<uint64_t> state_version{0};
+
+  // Estimate-cache invalidation versions: bumped to retire every cached
+  // entry for the site, or only those priced in one state.
+  std::atomic<uint64_t> site_version{0};
+  std::atomic<uint64_t> state_versions[kStateSlots] = {};
+};
 
 struct ContentionTrackerConfig {
   std::string site = "site";
@@ -71,6 +119,10 @@ struct ContentionTrackerConfig {
   // half-open trial — and readings are flagged `degraded`. Timed on `clock`.
   CircuitBreakerConfig breaker;
   Clock* clock = Clock::System();
+  // Where readings are published; null = a cell private to the tracker.
+  // Attaching takes the cell over: the previous tracker's later probes are
+  // discarded and its reading is reset.
+  SiteCell* cell = nullptr;
 };
 
 // The cached contention reading for a site.
@@ -122,7 +174,13 @@ class ContentionTracker {
   bool ProbeOnce();
 
   // Current cached reading with staleness evaluated against the clock now.
-  ProbeReading Current() const;
+  // Lock-free: seqlocked loads, plus one compare-and-swap only on the read
+  // that first sees the reading cross its TTL.
+  ProbeReading Current() const { return ReadAt(config_.clock->Now()); }
+
+  // As Current(), with staleness evaluated at `now` (a batch reads the clock
+  // once for all its sites).
+  ProbeReading ReadAt(Clock::TimePoint now) const;
 
   // Installs the probing-cost → state mapping (normally a model's
   // ContentionStates::StateOf). Re-maps the cached reading immediately.
@@ -150,22 +208,26 @@ class ContentionTracker {
 
   // Monotone version of the published (state, staleness, degraded) triple:
   // bumped when a probe or remap changes the mapped state, when the reading
-  // crosses the TTL in either direction, and when the circuit breaker moves
-  // across the closed boundary (the degraded flag flipped). A cached estimate recorded at version v is
+  // crosses the TTL, when the circuit breaker moves across the closed
+  // boundary (the degraded flag flipped), and when a tracker takes the cell
+  // over. A cached estimate recorded at version v is
   // state-consistent while state_version() == v still holds. Staleness
   // transitions are detected when someone evaluates freshness (Current() or
   // the background loop after a failed probe), so the bump lags a quiet
   // fresh→stale crossing by at most one probe interval.
   uint64_t state_version() const {
-    return state_version_.load(std::memory_order_acquire);
+    return cell_->state_version.load(std::memory_order_acquire);
   }
 
-  // The most recently published probing cost, without taking the tracker
-  // lock; NaN until the first successful probe. Paired with state_version()
-  // this is the cache's lock-free validity probe: a cached estimate is
-  // value-correct while the published cost stays inside its state's
-  // partition interval under the model that priced it.
-  double published_probing_cost() const;
+  // The most recently published probing cost (one load); NaN until the
+  // first successful probe. Paired with state_version() this is the cache's
+  // lock-free validity probe: a cached estimate is value-correct while the
+  // published cost stays inside its state's partition interval under the
+  // model that priced it.
+  double published_probing_cost() const {
+    return std::bit_cast<double>(
+        cell_->cost_bits.load(std::memory_order_acquire));
+  }
 
   // The cadence the background loop is currently probing at (the
   // probe_interval_ns gauge). Equals config probe_interval until the
@@ -225,26 +287,21 @@ class ContentionTracker {
   // when the breaker moved across the closed boundary.
   void NotifyDegradedTransition(bool was_degraded);
 
+  // One seqlocked write of the reading; caller holds cell_->mutex.
+  void PublishLocked(bool has_value, double cost, int state,
+                     uint64_t sequence, int64_t at_ns);
+
   const ContentionTrackerConfig config_;
   const ProbeFn probe_;
   LatencyHistogram* const probe_latency_;  // may be null
 
-  mutable std::mutex mutex_;  // guards reading_ + mapper_ + callback
-  ProbeReading reading_;
-  Clock::TimePoint reading_at_{};
+  std::unique_ptr<SiteCell> own_cell_;  // set when config.cell is null
+  SiteCell* const cell_;
+  // Guarded by cell_->mutex, which serializes every writer of the cell.
   std::function<int(double)> mapper_;
   std::vector<double> boundaries_;  // state partition, ascending
   StateChangeFn state_change_;
-  // The staleness last folded into state_version_ (see Current()); mutable
-  // because Current() publishes the transition it computes.
-  mutable bool published_stale_ = false;
 
-  // Lock-free mirrors of the published reading, written under mutex_ but
-  // readable without it — the estimate cache's hit path must not contend on
-  // the tracker lock. state_version_ is mutable for the same reason
-  // published_stale_ is.
-  mutable std::atomic<uint64_t> state_version_{0};
-  std::atomic<uint64_t> published_cost_bits_;
   std::atomic<int64_t> current_interval_ns_;
 
   std::atomic<uint64_t> probes_{0};

@@ -100,7 +100,7 @@ void EpochDomain::Reclaim(bool wait_for_readers) {
       for (Retired& record : blocked) retired_.push_back(std::move(record));
     }
     // Keepalive destructors run outside every domain lock: they may tear
-    // down whole catalogs or tracker maps (which join prober threads).
+    // down whole catalogs or read views (which join prober threads).
     free_now.clear();
     if (!wait_for_readers || drained) return;
     std::this_thread::yield();

@@ -31,11 +31,11 @@
 // overflow path is correct but pays counted RMWs.
 //
 // Retired objects are kept alive by type-erased shared_ptr keepalives, so
-// the domain composes with every snapshot the runtime already publishes as
-// shared_ptr (catalog, tracker map, stale-key set): cold readers keep using
-// AtomicSharedPtr::load(), hot readers use the raw epoch read, and the
-// object dies only when both the keepalive chain and the grace period
-// agree.
+// the domain composes with every snapshot the runtime publishes as
+// shared_ptr (catalog, service read view, refresh key map): cold readers
+// copy the shared_ptr under a mutex (EpochPublished::load()), hot readers
+// use the raw epoch read, and the object dies only when both the keepalive
+// chain and the grace period agree.
 
 #ifndef MSCM_RUNTIME_EPOCH_H_
 #define MSCM_RUNTIME_EPOCH_H_
@@ -47,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/atomic_shared_ptr.h"
 #include "runtime/rmw_probe.h"
 #include "runtime/thread_registry.h"
 
@@ -135,7 +134,7 @@ class EpochPublished {
   EpochPublished() : live_(nullptr) {}
 
   explicit EpochPublished(std::shared_ptr<const T> initial)
-      : shared_(initial), live_(initial.get()), keepalive_(std::move(initial)) {}
+      : live_(initial.get()), keepalive_(std::move(initial)) {}
 
   EpochPublished(const EpochPublished&) = delete;
   EpochPublished& operator=(const EpochPublished&) = delete;
@@ -161,16 +160,22 @@ class EpochPublished {
     return live_.load(std::memory_order_seq_cst);
   }
 
-  // Cold read: owning snapshot, valid past any guard (refcount RMWs).
-  std::shared_ptr<const T> load() const { return shared_.load(); }
+  // Cold read: owning snapshot, valid past any guard.
+  std::shared_ptr<const T> load() const {
+    RmwProbe::Count(2);  // mutex + refcount
+    std::lock_guard<std::mutex> lock(mutex_);
+    return keepalive_;
+  }
 
   // Publishes `next` and retires the previous value into the epoch domain.
   // Caller serializes writers.
   void Publish(std::shared_ptr<const T> next) {
-    const T* raw = next.get();
-    shared_.store(next);
-    live_.store(raw, std::memory_order_seq_cst);
-    std::shared_ptr<const T> old = std::exchange(keepalive_, std::move(next));
+    std::shared_ptr<const T> old;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      live_.store(next.get(), std::memory_order_seq_cst);
+      old = std::exchange(keepalive_, std::move(next));
+    }
     if (old) {
       EpochDomain::Global().Retire(
           std::shared_ptr<const void>(std::move(old)));
@@ -178,10 +183,10 @@ class EpochPublished {
   }
 
  private:
-  AtomicSharedPtr<const T> shared_;  // cold path + TSan-clean fallback
-  std::atomic<const T*> live_;       // hot path, epoch-protected
+  std::atomic<const T*> live_;  // hot path, epoch-protected
   // The currently published value, pinned so `live_` stays valid between
-  // Publish calls. Guarded by the caller's writer serialization.
+  // Publish calls; the mutex orders it against cold load()s.
+  mutable std::mutex mutex_;
   std::shared_ptr<const T> keepalive_;
 };
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <functional>
-#include <utility>
 
 #include "runtime/rmw_probe.h"
 
@@ -48,15 +47,6 @@ uint64_t Avalanche(uint64_t h) {
   return h;
 }
 
-uint64_t HashKey(const std::string& site, int class_id,
-                 const std::vector<double>& features, double quantum) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  h = Mix(h, std::hash<std::string>{}(site));
-  h = Mix(h, static_cast<uint64_t>(class_id));
-  for (double f : features) h = Mix(h, QuantizeFeature(f, quantum));
-  return Avalanche(h);
-}
-
 }  // namespace
 
 EstimateCache::EstimateCache(const EstimateCacheConfig& config) {
@@ -67,110 +57,75 @@ EstimateCache::EstimateCache(const EstimateCacheConfig& config) {
 }
 
 EstimateCache::~EstimateCache() {
-  // Collect every pinned tracker before releasing any: dropping a tracker's
-  // last reference joins its prober thread, whose state-change callback may
-  // call InvalidateSite on this cache — so the version cells (members,
-  // destroyed after this body) must still be intact while the joins run.
-  std::vector<std::shared_ptr<ContentionTracker>> retired;
-  for (auto& slot : shards_) {
-    ThreadShard* shard = slot.load(std::memory_order_acquire);
-    if (shard == nullptr) continue;
-    for (Slot& s : shard->slots) {
-      if (s.tracker != nullptr) retired.push_back(std::move(s.tracker));
-    }
-    delete shard;
-  }
-  retired.clear();
+  for (auto& shard : shards_) delete shard.load(std::memory_order_acquire);
 }
 
-EstimateCache::ThreadShard* EstimateCache::LocalShard(bool create) {
+EstimateCache::Shard* EstimateCache::LocalShard(bool create) {
   const int slot = ThreadRegistry::CurrentSlot();
   if (slot < 0) return nullptr;  // overflow threads bypass the cache
-  ThreadShard* shard = shards_[slot].load(std::memory_order_acquire);
+  Shard* shard = shards_[slot].load(std::memory_order_acquire);
   if (shard == nullptr && create) {
-    shard = new ThreadShard();
-    shard->slots.resize(slots_per_thread_);
+    shard = new Shard(slots_per_thread_);
     shards_[slot].store(shard, std::memory_order_release);
   }
   return shard;
 }
 
-const EstimateCache::VersionCell* EstimateCache::CellFor(
-    const std::string& site, ThreadShard& shard) {
-  auto memo = shard.cell_memo.find(site);
-  if (memo != shard.cell_memo.end()) return memo->second;
-  const VersionCell* cell;
-  {
-    RmwProbe::Count();  // cells_mutex_ — first insert for a site per thread
-    std::lock_guard<std::mutex> lock(cells_mutex_);
-    auto& owned = site_cells_[site];
-    if (owned == nullptr) owned = std::make_unique<VersionCell>(0);
-    cell = owned.get();
-  }
-  shard.cell_memo.emplace(site, cell);
-  return cell;
+uint64_t EstimateCache::Hash(const std::string& site, int class_id,
+                             const std::vector<double>& features) const {
+  uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  h = Mix(h, std::hash<std::string>{}(site));
+  h = Mix(h, static_cast<uint64_t>(class_id));
+  for (double f : features) h = Mix(h, QuantizeFeature(f, feature_quantum_));
+  return Avalanche(h);
 }
 
-const EstimateCache::VersionCell* EstimateCache::StateCellFor(
-    const std::string& site, int state, ThreadShard& shard) {
-  const std::pair<std::string, int> key(site, state);
-  auto memo = shard.state_cell_memo.find(key);
-  if (memo != shard.state_cell_memo.end()) return memo->second;
-  const VersionCell* cell;
-  {
-    RmwProbe::Count();  // cells_mutex_ — first insert for (site, state)
-    std::lock_guard<std::mutex> lock(cells_mutex_);
-    auto& owned = site_state_cells_[key];
-    if (owned == nullptr) owned = std::make_unique<VersionCell>(0);
-    cell = owned.get();
+bool EstimateCache::KeyMatches(const Slot& slot, uint64_t hash,
+                               const std::string& site, int class_id,
+                               const std::vector<double>& features) const {
+  if (!slot.occupied || slot.hash != hash || slot.class_id != class_id ||
+      slot.site != site || slot.feature_bits.size() != features.size()) {
+    return false;
   }
-  shard.state_cell_memo.emplace(key, cell);
-  return cell;
+  for (size_t j = 0; j < features.size(); ++j) {
+    const uint64_t bits = QuantizeFeature(features[j], feature_quantum_);
+    if (slot.feature_bits[j] != bits) return false;
+  }
+  return true;
 }
 
-bool EstimateCache::Lookup(const std::string& site, int class_id,
-                           const std::vector<double>& features, uint64_t epoch,
-                           EstimateResponse* response) {
+bool EstimateCache::Lookup(uint64_t hash, const std::string& site,
+                           int class_id, const std::vector<double>& features,
+                           uint64_t epoch, EstimateResponse* response) {
   if (!enabled()) return false;
-  ThreadShard* shard = LocalShard(/*create=*/false);
+  Shard* shard = LocalShard(/*create=*/false);
   if (shard == nullptr) return false;
-  const uint64_t hash = HashKey(site, class_id, features, feature_quantum_);
   for (size_t i = 0; i < kProbeWindow; ++i) {
-    Slot& slot = shard->slots[(hash + i) & slot_mask_];
-    if (!slot.occupied || slot.hash != hash) continue;
-    if (slot.class_id != class_id) continue;
-    if (slot.site != site) continue;
-    if (slot.feature_bits.size() != features.size()) continue;
-    bool equal = true;
-    for (size_t j = 0; j < features.size(); ++j) {
-      if (slot.feature_bits[j] !=
-          QuantizeFeature(features[j], feature_quantum_)) {
-        equal = false;
-        break;
-      }
-    }
-    if (!equal) continue;
-    // Key matches — validity: the lazy invalidation cell, the catalog
-    // epoch, then the lock-free probe against the tracker. All loads; the
-    // only RMWs below are on the retire path (invalidation events, never
-    // the steady-state hit).
+    Slot& slot = (*shard)[(hash + i) & slot_mask_];
+    if (!KeyMatches(slot, hash, site, class_id, features)) continue;
+    // Key matches — validity: the lazy invalidation versions, the catalog
+    // epoch, then the lock-free probe against the cell. All loads; the only
+    // RMW below is on the retire path (invalidation events, never the
+    // steady-state hit).
+    const SiteCell& cell = *slot.cell;
     const bool cell_dead =
-        slot.site_cell->load(std::memory_order_acquire) != slot.site_version ||
-        slot.state_cell->load(std::memory_order_acquire) !=
-            slot.state_cell_version;
-    const double cost = slot.tracker->published_probing_cost();
+        cell.site_version.load(std::memory_order_acquire) !=
+            slot.site_version ||
+        cell.state_versions[slot.state_slot].load(std::memory_order_acquire) !=
+            slot.state_slot_version;
+    const double cost =
+        std::bit_cast<double>(cell.cost_bits.load(std::memory_order_acquire));
     if (cell_dead || slot.epoch != epoch ||
-        slot.tracker->state_version() != slot.state_version ||
+        cell.state_version.load(std::memory_order_acquire) !=
+            slot.state_version ||
         !(cost > slot.state_lo && cost <= slot.state_hi)) {
       if (cell_dead || slot.epoch == epoch) {
         // Dead for good (invalidated, or state moved under the current
-        // catalog): retire now so the tracker pin is released promptly.
-        // An entry that merely belongs to an older catalog epoch is left
-        // for natural clobbering — a concurrent reader of an older epoch
-        // may still hit it.
-        std::shared_ptr<ContentionTracker> retire = std::move(slot.tracker);
-        slot = Slot{};
-        RmwProbe::Count(2);  // invalidation counter + tracker refcount drop
+        // catalog): retire now. An entry that merely belongs to an older
+        // catalog epoch is left for natural clobbering — a concurrent
+        // reader of an older epoch may still hit it.
+        slot.occupied = false;
+        RmwProbe::Count();  // invalidation counter
         invalidations_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
@@ -182,83 +137,56 @@ bool EstimateCache::Lookup(const std::string& site, int class_id,
   return false;
 }
 
-void EstimateCache::Insert(const std::string& site, int class_id,
-                           const std::vector<double>& features, uint64_t epoch,
-                           const InsertContext& context,
+void EstimateCache::Insert(uint64_t hash, const std::string& site,
+                           int class_id, const std::vector<double>& features,
+                           uint64_t epoch, const InsertContext& context,
                            const EstimateResponse& response) {
-  if (!enabled() || context.tracker == nullptr) return;
-  ThreadShard* shard = LocalShard(/*create=*/true);
+  if (!enabled() || context.cell == nullptr) return;
+  Shard* shard = LocalShard(/*create=*/true);
   if (shard == nullptr) return;
-  const uint64_t hash = HashKey(site, class_id, features, feature_quantum_);
-  const VersionCell* cell = CellFor(site, *shard);
-
-  RmwProbe::Count();  // the slot's tracker pin (shared_ptr copy below)
-  Slot fresh;
-  fresh.occupied = true;
-  fresh.class_id = class_id;
-  fresh.hash = hash;
-  fresh.epoch = epoch;
-  fresh.state_version = context.state_version;
-  fresh.state_lo = context.state_lo;
-  fresh.state_hi = context.state_hi;
-  fresh.site_cell = cell;
-  fresh.site_version = cell->load(std::memory_order_acquire);
-  const VersionCell* state_cell = StateCellFor(site, response.state, *shard);
-  fresh.state_cell = state_cell;
-  fresh.state_cell_version = state_cell->load(std::memory_order_acquire);
-  fresh.site = site;
-  fresh.feature_bits.reserve(features.size());
-  for (double f : features) {
-    fresh.feature_bits.push_back(QuantizeFeature(f, feature_quantum_));
-  }
-  fresh.tracker = context.tracker;
-  fresh.response = response;
 
   // Reuse the same key's slot or a free one in the window; otherwise clobber
   // the key's home slot (direct-mapped replacement — no LRU bookkeeping on
   // the hot path).
-  Slot* victim = &shard->slots[hash & slot_mask_];
+  Slot* victim = &(*shard)[hash & slot_mask_];
   for (size_t i = 0; i < kProbeWindow; ++i) {
-    Slot& slot = shard->slots[(hash + i) & slot_mask_];
-    if (!slot.occupied) {
-      victim = &slot;
-      break;
-    }
-    if (slot.hash == hash && slot.class_id == class_id && slot.site == site &&
-        slot.feature_bits == fresh.feature_bits) {
+    Slot& slot = (*shard)[(hash + i) & slot_mask_];
+    if (!slot.occupied || KeyMatches(slot, hash, site, class_id, features)) {
       victim = &slot;
       break;
     }
   }
-  std::shared_ptr<ContentionTracker> retired = std::move(victim->tracker);
-  if (retired != nullptr) RmwProbe::Count();  // clobbered entry's pin drops
-  *victim = std::move(fresh);
-}
-
-void EstimateCache::InvalidateSite(const std::string& site) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(cells_mutex_);
-  auto& cell = site_cells_[site];
-  if (cell == nullptr) cell = std::make_unique<VersionCell>(0);
-  cell->fetch_add(1, std::memory_order_release);
-}
-
-void EstimateCache::InvalidateSiteState(const std::string& site, int state) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(cells_mutex_);
-  auto& cell = site_state_cells_[{site, state}];
-  if (cell == nullptr) cell = std::make_unique<VersionCell>(0);
-  cell->fetch_add(1, std::memory_order_release);
-}
-
-void EstimateCache::InvalidateAll() {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(cells_mutex_);
-  // Every occupied entry recorded a cell at insert, so bumping every cell
-  // reaches every entry.
-  for (auto& [site, cell] : site_cells_) {
-    cell->fetch_add(1, std::memory_order_release);
+  // Assigned field by field so the victim's string and feature buffers are
+  // reused rather than reallocated.
+  Slot& slot = *victim;
+  const SiteCell& cell = *context.cell;
+  slot.occupied = true;
+  slot.class_id = class_id;
+  slot.hash = hash;
+  slot.epoch = epoch;
+  slot.state_version = context.state_version;
+  slot.state_lo = context.state_lo;
+  slot.state_hi = context.state_hi;
+  slot.cell = &cell;
+  slot.site_version = cell.site_version.load(std::memory_order_acquire);
+  slot.state_slot = SiteCell::StateSlot(response.state);
+  slot.state_slot_version =
+      cell.state_versions[slot.state_slot].load(std::memory_order_acquire);
+  slot.site = site;
+  slot.feature_bits.resize(features.size());
+  for (size_t j = 0; j < features.size(); ++j) {
+    slot.feature_bits[j] = QuantizeFeature(features[j], feature_quantum_);
   }
+  slot.response = response;
+}
+
+void EstimateCache::InvalidateSite(SiteCell& cell) {
+  cell.site_version.fetch_add(1, std::memory_order_release);
+}
+
+void EstimateCache::InvalidateSiteState(SiteCell& cell, int state) {
+  cell.state_versions[SiteCell::StateSlot(state)].fetch_add(
+      1, std::memory_order_release);
 }
 
 }  // namespace mscm::runtime

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -68,8 +69,8 @@ const char* ToString(EstimateStatus s) {
 EstimationService::EstimationService(EstimationServiceConfig config)
     : config_(config),
       cache_(config.cache),
-      trackers_(std::make_shared<const TrackerMap>()),
-      stale_keys_(std::make_shared<const StaleKeySet>()),
+      view_(std::make_shared<const ReadView>(
+          ReadView{catalog_.snapshot(), {}, {}})),
       instance_id_(
           next_service_instance_id.fetch_add(1, std::memory_order_relaxed)),
       pool_(config.worker_threads) {}
@@ -77,11 +78,41 @@ EstimationService::EstimationService(EstimationServiceConfig config)
 EstimationService::~EstimationService() { StopProbing(); }
 
 void EstimationService::StopProbing() {
-  // Stop every prober before members unwind: a live prober's state-change
-  // callback reaches into cache_, and replaced trackers kept alive by cache
-  // entries stop when the cache retires them in its own destructor.
-  const TrackerMapSnapshot map = trackers_.load();
-  for (const auto& [site, tracker] : *map) tracker->Stop();
+  // Stop every prober before members unwind; replaced and retired trackers
+  // were stopped when they left the view.
+  const auto view = view_.load();
+  for (const SiteEntry& entry : view->sites) {
+    if (entry.tracker != nullptr) entry.tracker->Stop();
+  }
+}
+
+std::shared_ptr<EstimationService::ReadView>
+EstimationService::EditViewLocked() const {
+  return std::make_shared<ReadView>(*view_.load());
+}
+
+EstimationService::SiteEntry& EstimationService::SiteLocked(
+    ReadView& view, const std::string& site) {
+  const auto [it, inserted] =
+      view.ids.emplace(site, static_cast<SiteId>(view.sites.size()));
+  if (inserted) {
+    cells_.push_back(std::make_unique<SiteCell>());
+    SiteEntry& entry = view.sites.emplace_back();
+    entry.name = site;
+    entry.cell = cells_.back().get();
+  }
+  return view.sites[it->second];
+}
+
+void EstimationService::PublishViewLocked(std::shared_ptr<ReadView> view) {
+  view->catalog = catalog_.snapshot();
+  for (SiteEntry& entry : view->sites) {
+    for (size_t c = 0; c < kNumClasses; ++c) {
+      entry.equations[c] = view->catalog->FindCompiled(
+          entry.name, static_cast<core::QueryClassId>(c));
+    }
+  }
+  view_.Publish(std::move(view));
 }
 
 void EstimationService::RegisterModel(const std::string& site,
@@ -102,7 +133,10 @@ bool EstimationService::RegisterModelIfActive(const std::string& site,
   // "Live" = the site still has a tracker or at least one registered model.
   // UnregisterSite removes both under this same mutex, so the check and the
   // publication are atomic against retirement.
-  if (newest_class_.count(site) == 0 && trackers_.load()->count(site) == 0) {
+  const auto current = view_.load();
+  const SiteEntry* entry = current->Find(site);
+  if (entry == nullptr ||
+      (entry->tracker == nullptr && entry->newest_class < 0)) {
     return false;
   }
   RegisterModelLocked(site, std::move(model), states, class_id);
@@ -117,17 +151,23 @@ void EstimationService::RegisterModelLocked(
     auto& shard = counters_.Local();
     shard.Add(shard.catalog_swaps);
   }
-  newest_class_[site] = class_id;
+  auto view = EditViewLocked();
+  SiteEntry& entry = SiteLocked(*view, site);
+  entry.newest_class = static_cast<int>(class_id);
   // A freshly registered model is by definition not stale.
-  SetModelStaleLocked(site, class_id, false);
-  if (auto tracker = FindTracker(site)) {
-    tracker->SetStateMapper(
-        [states](double cost) { return states.StateOf(cost); });
-    tracker->SetStateBoundaries(states.boundaries());
+  if (static_cast<size_t>(class_id) < kNumClasses) {
+    entry.stale_model[static_cast<size_t>(class_id)] = false;
   }
+  if (entry.tracker != nullptr) {
+    entry.tracker->SetStateMapper(
+        [states](double cost) { return states.StateOf(cost); });
+    entry.tracker->SetStateBoundaries(states.boundaries());
+  }
+  SiteCell& cell = *entry.cell;
+  PublishViewLocked(std::move(view));
   // Entries priced under the previous catalog revision can never hit again
   // (the lookup epoch moved); evict the re-registered site's eagerly.
-  cache_.InvalidateSite(site);
+  EstimateCache::InvalidateSite(cell);
 }
 
 bool EstimationService::ApplyAdaptedModel(const std::string& site,
@@ -155,10 +195,13 @@ bool EstimationService::ApplyAdaptedModel(const std::string& site,
     auto& shard = counters_.Local();
     shard.Add(shard.adaptations_applied);
   }
+  auto view = EditViewLocked();
+  SiteCell& cell = *SiteLocked(*view, site).cell;
+  PublishViewLocked(std::move(view));
   // Only the swapped states' rows changed; every other state's cached
   // responses stay bit-correct under the preserved revision.
   for (const int state : changed_states) {
-    cache_.InvalidateSiteState(site, state);
+    EstimateCache::InvalidateSiteState(cell, state);
   }
   return true;
 }
@@ -175,49 +218,28 @@ void EstimationService::RegisterSite(const std::string& site,
   tracker_config.failure_retry = config_.probe_failure_retry;
   tracker_config.breaker = config_.breaker;
   tracker_config.clock = config_.clock;
-  auto tracker = std::make_shared<ContentionTracker>(
-      std::move(tracker_config), std::move(probe), &probe_latency_);
-  // Evict the site's cached estimates the moment its contention state
-  // transitions. Fired off-lock from the tracker; touches only cache_.
-  tracker->SetStateChangeCallback(
-      [this, site](int /*old_state*/, int /*new_state*/) {
-        cache_.InvalidateSite(site);
-      });
 
   std::lock_guard<std::mutex> lock(control_mutex_);
+  auto view = EditViewLocked();
+  SiteEntry& entry = SiteLocked(*view, site);
+  SiteCell& cell = *entry.cell;
+  // The new tracker takes the site's cell over: the replaced tracker's
+  // reading is reset and its later probes are discarded.
+  tracker_config.cell = &cell;
+  auto tracker = std::make_shared<ContentionTracker>(
+      std::move(tracker_config), std::move(probe), &probe_latency_);
+  const std::shared_ptr<ContentionTracker> replaced =
+      std::exchange(entry.tracker, tracker);
 
-  // Publish the tracker before wiring its partition. RegisterModel holds
-  // the same mutex, so no registration can land between publication and
-  // wiring — the old order (snapshot catalog, then publish) let a racing
-  // RegisterModel miss the tracker and leave the state mapper unset.
-  const TrackerMapSnapshot current = trackers_.load();
-  std::shared_ptr<ContentionTracker> replaced;
-  if (const auto it = current->find(site); it != current->end()) {
-    replaced = it->second;
-  }
-  auto next = std::make_shared<TrackerMap>(*current);
-  (*next)[site] = tracker;
-  RetiredTrackerTotals replaced_captured;
-  if (replaced != nullptr) {
-    // Replacing unpublishes the old tracker: swap and fold its counts
-    // under one retired_mutex_ hold (see the RetiredTrackerTotals
-    // atomicity contract), or a racing Stats() momentarily loses — or
-    // double-counts — the old tracker's history.
-    std::lock_guard<std::mutex> retired_lock(retired_mutex_);
-    trackers_.Publish(TrackerMapSnapshot(std::move(next)));
-    replaced_captured = CaptureTrackerTotals(*replaced);
-    AddRetiredTotalsLocked(replaced_captured);
-  } else {
-    trackers_.Publish(TrackerMapSnapshot(std::move(next)));
-  }
-
-  // Wire the partition of the site's most recently registered model —
-  // deterministic, unlike iterating the catalog's (site, class) map, whose
-  // last entry depends on class-id order rather than registration order.
-  const auto newest = newest_class_.find(site);
-  if (newest != newest_class_.end()) {
+  // Wire the partition of the site's most recently registered model before
+  // the tracker is published — deterministic, unlike iterating the
+  // catalog's (site, class) map, whose last entry depends on class-id order
+  // rather than registration order. RegisterModel holds the same mutex, so
+  // no registration can land in between.
+  if (entry.newest_class >= 0) {
     const auto snapshot = catalog_.snapshot();
-    if (const core::CostModel* model = snapshot->Find(site, newest->second)) {
+    if (const core::CostModel* model = snapshot->Find(
+            site, static_cast<core::QueryClassId>(entry.newest_class))) {
       const core::ContentionStates states = model->states();
       tracker->SetStateMapper(
           [states](double cost) { return states.StateOf(cost); });
@@ -225,14 +247,26 @@ void EstimationService::RegisterSite(const std::string& site,
     }
   }
 
+  RetiredTrackerTotals replaced_captured;
+  if (replaced != nullptr) {
+    // Replacing unpublishes the old tracker: swap and fold its counts
+    // under one retired_mutex_ hold (see the RetiredTrackerTotals
+    // atomicity contract), or a racing Stats() momentarily loses — or
+    // double-counts — the old tracker's history.
+    std::lock_guard<std::mutex> retired_lock(retired_mutex_);
+    PublishViewLocked(std::move(view));
+    replaced_captured = CaptureTrackerTotals(*replaced);
+    AddRetiredTotalsLocked(replaced_captured);
+  } else {
+    PublishViewLocked(std::move(view));
+  }
+
   tracker->Start();
 
-  // A replaced tracker may survive for a while through cache entries that
-  // pin it (invalidation is lazy — each estimate thread retires its dead
-  // entries on its next lookups), so stop its prober eagerly here rather
-  // than waiting for the last pin to drop; the later release of an
-  // already-stopped tracker is cheap. Its terminal counters fold into the
-  // retired totals so Stats() never regresses across a re-registration.
+  // A replaced tracker may live on for a while in views in-flight readers
+  // still pin, so stop its prober eagerly here; its terminal counters fold
+  // into the retired totals so Stats() never regresses across a
+  // re-registration.
   if (replaced != nullptr) {
     replaced->Stop();
     // In-flight probe completions between the fold and the join, as above.
@@ -240,7 +274,7 @@ void EstimationService::RegisterSite(const std::string& site,
     AddRetiredTotalsLocked(
         TotalsDelta(CaptureTrackerTotals(*replaced), replaced_captured));
   }
-  cache_.InvalidateSite(site);
+  EstimateCache::InvalidateSite(cell);
 }
 
 void EstimationService::RegisterSite(mdbs::MdbsAgent* agent) {
@@ -249,41 +283,17 @@ void EstimationService::RegisterSite(mdbs::MdbsAgent* agent) {
 
 void EstimationService::UnregisterSite(const std::string& site) {
   std::lock_guard<std::mutex> lock(control_mutex_);
-
-  // Unpublish the tracker first: new estimates stop finding it immediately.
-  // In-flight estimates hold the old map under an epoch guard — the map
-  // snapshot (and any cache entry pins) keep the tracker object alive until
-  // they drain, so nothing here frees memory a reader can still touch.
-  std::shared_ptr<ContentionTracker> retired;
-  RetiredTrackerTotals captured;
-  const TrackerMapSnapshot current = trackers_.load();
-  if (const auto it = current->find(site); it != current->end()) {
-    retired = it->second;
-    auto next = std::make_shared<TrackerMap>(*current);
-    next->erase(site);
-    // Unpublish and fold under one retired_mutex_ hold (see the
-    // RetiredTrackerTotals atomicity contract): a Stats() racing this
-    // block sees the tracker's history either live in the map or already
-    // in the retired totals — never in neither, never in both.
-    std::lock_guard<std::mutex> retired_lock(retired_mutex_);
-    trackers_.Publish(TrackerMapSnapshot(std::move(next)));
-    captured = CaptureTrackerTotals(*retired);
-    AddRetiredTotalsLocked(captured);
-  }
+  const auto published = view_.load();
+  const SiteEntry* current = published->Find(site);
+  if (current == nullptr) return;
 
   // Drop every (site, class) model. The snapshot swap bumps the catalog
   // revision, so cached responses priced under the old catalog can never
   // revalidate — the eager InvalidateSite below just reclaims the slots
   // sooner.
   bool had_models = false;
-  {
-    const auto snapshot = catalog_.snapshot();
-    for (const auto& [entry_site, class_id] : snapshot->Entries()) {
-      if (entry_site == site) {
-        had_models = true;
-        break;
-      }
-    }
+  for (const core::CompiledEquations* equations : current->equations) {
+    had_models = had_models || equations != nullptr;
   }
   if (had_models) {
     catalog_.Update(
@@ -292,26 +302,31 @@ void EstimationService::UnregisterSite(const std::string& site) {
     shard.Add(shard.catalog_swaps);
   }
 
-  // Clear the site's stale-model flags so the stale_models gauge cannot
-  // leak retired keys (a racing SetModelStale for the site after this point
-  // is rejected by its no-model guard).
-  const StaleKeySnapshot stale = stale_keys_.load();
-  bool any_stale = false;
-  for (const auto& key : *stale) {
-    if (key.first == site) {
-      any_stale = true;
-      break;
+  // Unpublish the tracker and the models in one view: new estimates stop
+  // finding either immediately, while in-flight ones keep the view they
+  // pinned. Clearing the stale-model flags keeps the stale_models gauge
+  // from leaking retired keys (a racing SetModelStale for the site after
+  // this point is rejected by its no-model guard).
+  auto view = EditViewLocked();
+  SiteEntry& entry = SiteLocked(*view, site);
+  SiteCell& cell = *entry.cell;
+  const std::shared_ptr<ContentionTracker> retired =
+      std::exchange(entry.tracker, nullptr);
+  const bool had_class = std::exchange(entry.newest_class, -1) >= 0;
+  std::fill(std::begin(entry.stale_model), std::end(entry.stale_model), false);
+  RetiredTrackerTotals captured;
+  {
+    // Unpublish and fold under one retired_mutex_ hold (see the
+    // RetiredTrackerTotals atomicity contract): a Stats() racing this
+    // block sees the tracker's history either live in the view or already
+    // in the retired totals — never in neither, never in both.
+    std::lock_guard<std::mutex> retired_lock(retired_mutex_);
+    PublishViewLocked(std::move(view));
+    if (retired != nullptr) {
+      captured = CaptureTrackerTotals(*retired);
+      AddRetiredTotalsLocked(captured);
     }
   }
-  if (any_stale) {
-    auto next = std::make_shared<StaleKeySet>();
-    for (const auto& key : *stale) {
-      if (key.first != site) next->insert(key);
-    }
-    stale_keys_.Publish(StaleKeySnapshot(std::move(next)));
-  }
-
-  const bool had_class = newest_class_.erase(site) > 0;
 
   if (retired != nullptr) {
     // Stop() joins the background prober (and abandons a probe past its
@@ -326,7 +341,7 @@ void EstimationService::UnregisterSite(const std::string& site) {
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
     ++sites_retired_;
   }
-  cache_.InvalidateSite(site);
+  EstimateCache::InvalidateSite(cell);
 }
 
 bool EstimationService::ProbeNow(const std::string& site) {
@@ -355,35 +370,33 @@ CircuitBreaker::State EstimationService::SiteBreakerState(
 void EstimationService::SetModelStale(const std::string& site,
                                       core::QueryClassId class_id,
                                       bool stale) {
+  const auto c = static_cast<size_t>(class_id);
   std::lock_guard<std::mutex> lock(control_mutex_);
-  SetModelStaleLocked(site, class_id, stale);
-}
-
-void EstimationService::SetModelStaleLocked(const std::string& site,
-                                            core::QueryClassId class_id,
-                                            bool stale) {
-  const auto key = std::make_pair(site, static_cast<int>(class_id));
-  const StaleKeySnapshot current = stale_keys_.load();
-  if ((current->count(key) > 0) == stale) return;
+  const auto published = view_.load();
+  const SiteEntry* current = published->Find(site);
+  if (current == nullptr || c >= kNumClasses ||
+      current->stale_model[c] == stale) {
+    return;
+  }
   // Only a registered model can be stale: without this guard a refresh
   // daemon racing UnregisterSite could re-flag a just-retired key and leak
   // it in the stale_models gauge forever.
-  if (stale && catalog_.snapshot()->Find(site, class_id) == nullptr) return;
-  auto next = std::make_shared<StaleKeySet>(*current);
-  if (stale) {
-    next->insert(key);
-  } else {
-    next->erase(key);
-  }
-  stale_keys_.Publish(StaleKeySnapshot(std::move(next)));
+  if (stale && current->equations[c] == nullptr) return;
+  auto view = EditViewLocked();
+  SiteEntry& entry = SiteLocked(*view, site);
+  entry.stale_model[c] = stale;
+  SiteCell& cell = *entry.cell;
+  PublishViewLocked(std::move(view));
   // Cached responses embed the stale_model flag; a flip retires them.
-  cache_.InvalidateSite(site);
+  EstimateCache::InvalidateSite(cell);
 }
 
 bool EstimationService::IsModelStale(const std::string& site,
                                      core::QueryClassId class_id) const {
-  return stale_keys_.load()->count(
-             std::make_pair(site, static_cast<int>(class_id))) > 0;
+  const auto c = static_cast<size_t>(class_id);
+  const auto view = view_.load();
+  const SiteEntry* entry = view->Find(site);
+  return entry != nullptr && c < kNumClasses && entry->stale_model[c];
 }
 
 EstimationService::RetiredTrackerTotals EstimationService::CaptureTrackerTotals(
@@ -422,9 +435,38 @@ void EstimationService::AddRetiredTotalsLocked(
 
 std::shared_ptr<ContentionTracker> EstimationService::FindTracker(
     const std::string& site) const {
-  const TrackerMapSnapshot map = trackers_.load();
-  const auto it = map->find(site);
-  return it == map->end() ? nullptr : it->second;
+  const auto view = view_.load();
+  const SiteEntry* entry = view->Find(site);
+  return entry == nullptr ? nullptr : entry->tracker;
+}
+
+const core::CompiledEquations* EstimationService::EquationsFor(
+    const SiteEntry* site, core::QueryClassId class_id) {
+  const auto c = static_cast<size_t>(class_id);
+  return site != nullptr && c < kNumClasses ? site->equations[c] : nullptr;
+}
+
+Clock::TimePoint EstimationService::ClockNow(
+    std::chrono::steady_clock::time_point steady_now) const {
+  // The system clock is steady_clock: reuse the caller's latency-timer read
+  // rather than paying for a second one.
+  return config_.clock == Clock::System() ? steady_now : config_.clock->Now();
+}
+
+EstimationService::SiteRead EstimationService::ReadSite(
+    const SiteEntry* site, Clock::TimePoint now) {
+  SiteRead read;
+  read.site = site;
+  read.taken = true;
+  if (site != nullptr && site->tracker != nullptr) {
+    // Version first, then the reading: if anything transitions in between,
+    // an entry inserted from this read is born invalid rather than wrongly
+    // valid.
+    read.state_version =
+        site->cell->state_version.load(std::memory_order_acquire);
+    read.reading = site->tracker->ReadAt(now);
+  }
+  return read;
 }
 
 void EstimationService::FlushCounts(const LocalCounts& counts) const {
@@ -461,25 +503,25 @@ void EstimationService::FlushCounts(const LocalCounts& counts) const {
 }
 
 bool EstimationService::ResolveProbe(const EstimateRequest& request,
-                                     const ProbeReading* cached_reading,
+                                     const ProbeReading& cached_reading,
                                      EstimateResponse& response,
                                      LocalCounts& counts) const {
   if (request.probing_cost >= 0.0) {
     response.probing_cost = request.probing_cost;
     return true;
   }
-  if (cached_reading == nullptr || !cached_reading->has_value) {
+  if (!cached_reading.has_value) {
     ++counts.probe_cache_misses;
     response.status = EstimateStatus::kNoProbe;
     return false;
   }
-  response.probing_cost = cached_reading->probing_cost;
-  response.stale_probe = cached_reading->stale;
-  if (cached_reading->degraded) {
+  response.probing_cost = cached_reading.probing_cost;
+  response.stale_probe = cached_reading.stale;
+  if (cached_reading.degraded) {
     response.degraded = true;
     ++counts.degraded_served;
   }
-  if (cached_reading->stale) {
+  if (cached_reading.stale) {
     ++counts.probe_cache_stale;
   } else {
     ++counts.probe_cache_hits;
@@ -487,29 +529,26 @@ bool EstimationService::ResolveProbe(const EstimateRequest& request,
   return true;
 }
 
-EstimateResponse EstimationService::EstimateWithSnapshot(
-    const core::GlobalCatalog& catalog, const StaleKeySet& stale_keys,
-    const EstimateRequest& request, const ProbeReading* cached_reading,
-    LocalCounts& counts) const {
+EstimateResponse EstimationService::Price(const SiteRead& read,
+                                          const EstimateRequest& request,
+                                          LocalCounts& counts) const {
   EstimateResponse response;
   ++counts.requests;
 
   // Serving reads only the compiled per-state table — never the model's
   // derivation-side DesignLayout.
   const core::CompiledEquations* equations =
-      catalog.FindCompiled(request.site, request.class_id);
+      EquationsFor(read.site, request.class_id);
   if (equations == nullptr) {
     ++counts.no_model;
     response.status = EstimateStatus::kNoModel;
     return response;
   }
-  if (!stale_keys.empty() &&
-      stale_keys.count(std::make_pair(
-          request.site, static_cast<int>(request.class_id))) > 0) {
+  if (read.site->stale_model[static_cast<size_t>(request.class_id)]) {
     response.stale_model = true;
     ++counts.stale_model_served;
   }
-  if (!ResolveProbe(request, cached_reading, response, counts)) {
+  if (!ResolveProbe(request, read.reading, response, counts)) {
     return response;
   }
 
@@ -524,32 +563,27 @@ EstimateResponse EstimationService::EstimateWithSnapshot(
 }
 
 void EstimationService::MaybeCacheResponse(
-    const core::GlobalCatalog& catalog, const EstimateRequest& request,
-    const EstimateResponse& response,
-    const std::shared_ptr<ContentionTracker>& tracker,
-    uint64_t state_version_before, const ProbeReading& reading) const {
+    uint64_t epoch, uint64_t hash, const SiteRead& read,
+    const EstimateRequest& request, const EstimateResponse& response) const {
   // Only responses priced from a *fresh, healthy* tracker reading are
   // cacheable: a stale, degraded, or explicit-probing-cost response is not a
   // function of the tracker's published state — and a degraded response must
   // stop being served the moment the half-open trial restores the site.
   if (!response.ok() || response.stale_probe || response.degraded) return;
   if (request.probing_cost >= 0.0) return;
-  if (tracker == nullptr || !reading.has_value || reading.stale ||
-      reading.degraded) {
-    return;
-  }
+  const ProbeReading& reading = read.reading;
+  if (!reading.has_value || reading.stale || reading.degraded) return;
   const core::CompiledEquations* equations =
-      catalog.FindCompiled(request.site, request.class_id);
+      EquationsFor(read.site, request.class_id);
   if (equations == nullptr || response.state < 0) return;
 
   EstimateCache::InsertContext context;
-  RmwProbe::Count();  // tracker pin moving into the cache entry
-  context.tracker = tracker;
-  context.state_version = state_version_before;
+  context.cell = read.site->cell;
+  context.state_version = read.state_version;
   equations->StateInterval(response.state, &context.state_lo,
                            &context.state_hi);
-  cache_.Insert(request.site, static_cast<int>(request.class_id),
-                request.features, catalog.revision(), context, response);
+  cache_.Insert(hash, request.site, static_cast<int>(request.class_id),
+                request.features, epoch, context, response);
 }
 
 EstimateResponse EstimationService::Estimate(
@@ -569,6 +603,7 @@ EstimateResponse EstimationService::Estimate(
   // validation loads and one per-thread counter store. Zero shared atomic
   // RMWs end to end (the shared_rmw_per_request bench gate).
   const bool try_cache = cache_.enabled() && request.probing_cost < 0.0;
+  uint64_t hash = 0;
   if (try_cache) {
     // Arm the clock when the *next hit* completes a sample window. Misses
     // while armed waste one clock read (they pay the full miss path anyway)
@@ -595,8 +630,10 @@ EstimateResponse EstimationService::Estimate(
     const bool armed = hits_since_sample + 1 == kHitLatencySamplePeriod;
     std::chrono::steady_clock::time_point hit_started;
     if (armed) hit_started = std::chrono::steady_clock::now();
+    hash = cache_.Hash(request.site, static_cast<int>(request.class_id),
+                       request.features);
     EstimateResponse response;
-    if (cache_.Lookup(request.site, static_cast<int>(request.class_id),
+    if (cache_.Lookup(hash, request.site, static_cast<int>(request.class_id),
                       request.features, catalog_.version(), &response)) {
       auto& shard = counters_.Local();
       shard.Add(shard.estimate_cache_hits);
@@ -614,40 +651,20 @@ EstimateResponse EstimationService::Estimate(
   }
 
   const auto started = std::chrono::steady_clock::now();
-  // Miss path: one epoch guard pins the catalog, tracker map and stale-key
-  // set for the whole request — raw pointers, no refcount round-trips.
+  // Miss path: one epoch guard pins the read view — catalog snapshot,
+  // serving forms, trackers — for the whole request; one name lookup finds
+  // the site, and its reading is a handful of loads from its cell.
   EpochGuard guard;
-  const core::GlobalCatalog* snapshot = catalog_.Read(guard);
-  const StaleKeySet* stale_keys = stale_keys_.Read(guard);
-
-  ProbeReading reading;
-  const ProbeReading* cached = nullptr;
-  std::shared_ptr<ContentionTracker> tracker;
-  uint64_t state_version_before = 0;
-  if (request.probing_cost < 0.0) {
-    const TrackerMap* map = trackers_.Read(guard);
-    if (const auto it = map->find(request.site); it != map->end()) {
-      if (try_cache) {
-        // Pin the tracker past the guard only when a cache insert may need
-        // it (the entry holds the reference) — the refcount bump is a
-        // shared RMW, paid on misses only.
-        RmwProbe::Count();
-        tracker = it->second;
-      }
-      // Version first, then the reading: if anything transitions in between,
-      // the entry inserted below is born invalid rather than wrongly valid.
-      state_version_before = it->second->state_version();
-      reading = it->second->Current();
-      cached = &reading;
-    }
-  }
+  const ReadView& view = *view_.Read(guard);
+  SiteRead read;
+  read.site = view.Find(request.site);
+  if (request.probing_cost < 0.0) read = ReadSite(read.site, ClockNow(started));
   LocalCounts counts;
-  EstimateResponse response =
-      EstimateWithSnapshot(*snapshot, *stale_keys, request, cached, counts);
+  EstimateResponse response = Price(read, request, counts);
   if (try_cache) {
     ++counts.estimate_cache_misses;
-    MaybeCacheResponse(*snapshot, request, response, tracker,
-                       state_version_before, reading);
+    MaybeCacheResponse(view.catalog->revision(), hash, read, request,
+                       response);
   }
   FlushCounts(counts);
   estimate_latency_.Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -655,233 +672,238 @@ EstimateResponse EstimationService::Estimate(
   return response;
 }
 
-std::vector<EstimateResponse> EstimationService::EstimateBatch(
-    const std::vector<EstimateRequest>& requests) const {
+template <typename RequestAt>
+void EstimationService::PriceBatch(
+    size_t n, const RequestAt& request_at, EstimateResponse* responses,
+    const core::CompiledEquations** equations) const {
   const auto started = std::chrono::steady_clock::now();
   {
     auto& shard = counters_.Local();
     shard.Add(shard.batches);
   }
-  std::vector<EstimateResponse> responses(requests.size());
-  if (requests.empty()) return responses;
+  if (n == 0) return;
 
-  // One snapshot and one probe fetch per distinct site for the whole batch:
-  // the per-request work is then pure arithmetic over immutable data. The
-  // tracker and its pre-reading state version ride along so computed
-  // responses can be inserted into the estimate cache.
-  //
-  // The caller's epoch guard pins the raw snapshots for the whole batch,
-  // workers included: ParallelFor blocks this thread until every chunk
-  // completes, so no retired catalog can be reclaimed while a worker still
-  // reads it (the workers' accesses happen-before the caller's unpin).
-  struct SiteProbe {
-    ProbeReading reading;
-    std::shared_ptr<ContentionTracker> tracker;
-    uint64_t state_version_before = 0;
-  };
+  // One view and one reading per distinct site for the whole batch: the
+  // per-request work is then pure arithmetic over immutable data. The epoch
+  // guard pins the view for the whole batch, workers included: ParallelFor
+  // blocks this thread until every chunk completes, so no retired view can
+  // be reclaimed while a worker still reads it (the workers' accesses
+  // happen-before the caller's unpin).
   EpochGuard guard;
-  const core::GlobalCatalog* snapshot = catalog_.Read(guard);
-  const StaleKeySet* stale_keys = stale_keys_.Read(guard);
-  const TrackerMap* tracker_map = trackers_.Read(guard);
+  const ReadView& view = *view_.Read(guard);
   const bool use_cache = cache_.enabled();
-  const uint64_t epoch = snapshot->revision();
+  const uint64_t epoch = view.catalog->revision();
+
+  // Each request's site goes into a small flat array of distinct-site
+  // reads: one name lookup per run of same-site requests and one cell read
+  // per site, all evaluated at one clock reading.
+  const Clock::TimePoint now = ClockNow(started);
+  std::vector<SiteRead> reads;
+  reads.reserve(std::min<size_t>(n, 16));
+  std::vector<uint32_t> read_of(n);
+  const std::string* last_site = nullptr;
+  uint32_t last = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const EstimateRequest& request = request_at(i);
+    if (last_site == nullptr || *last_site != request.site) {
+      const SiteEntry* site = view.Find(request.site);
+      last = 0;
+      while (last < reads.size() && reads[last].site != site) ++last;
+      if (last == reads.size()) reads.emplace_back().site = site;
+      last_site = &request.site;
+    }
+    read_of[i] = last;
+    SiteRead& read = reads[last];
+    if (request.probing_cost < 0.0 && !read.taken) {
+      read = ReadSite(read.site, now);
+    }
+    if (equations != nullptr) {
+      equations[i] = EquationsFor(read.site, request.class_id);
+    }
+  }
+
   // Invalid items are rejected without being priced; the amortized-latency
   // record below must not count them (the soak's conservation checker
   // flags count(estimate_latency) > requests). Cold once-per-chunk RMW.
   std::atomic<uint64_t> invalid_total{0};
-  std::map<std::string, SiteProbe> site_probes;
-  for (const EstimateRequest& request : requests) {
-    if (request.probing_cost >= 0.0) continue;
-    if (site_probes.count(request.site) > 0) continue;
-    SiteProbe probe;
-    if (const auto it = tracker_map->find(request.site);
-        it != tracker_map->end()) {
-      RmwProbe::Count();  // tracker pin: once per distinct site per batch
-      probe.tracker = it->second;
-      probe.state_version_before = probe.tracker->state_version();
-      probe.reading = probe.tracker->Current();
+  pool_.ParallelFor(n, config_.batch_grain, [&](size_t begin, size_t end) {
+    // Batches concentrate on few (site, class) pairs; memoize per pair
+    // everything that is batch-invariant. With a cached probe the
+    // contention state — and therefore the active compiled equation row —
+    // is fixed for the whole batch: the scan pass resolves each pair's
+    // state once and collects its requests into a group, and a flush pass
+    // gathers every group's selected features into contiguous rows and
+    // streams them through CompiledEquations::EvaluateRowsInState — one
+    // pinned coefficient row, unit-stride loads, bit-exact with the scalar
+    // path. Counters are flushed once per chunk instead of once per
+    // request.
+    struct MemoEntry {
+      uint32_t read;  // index into `reads`
+      core::QueryClassId class_id;
+      const core::CompiledEquations* equations;  // serving form
+      // Grouped evaluation, valid when `fast`: requests in `group` all
+      // evaluate state `state`'s row.
+      bool fast = false;
+      int state = -1;
+      bool stale = false;
+      bool degraded = false;     // site breaker not closed
+      bool stale_model = false;  // key flagged by the refresh daemon
+      double probing_cost = 0.0;
+      // (request index, cache key hash) awaiting the flush.
+      std::vector<std::pair<size_t, uint64_t>> group;
+    };
+    std::vector<MemoEntry> memo;
+    memo.reserve(8);
+    LocalCounts counts;
+    for (size_t i = begin; i < end; ++i) {
+      const EstimateRequest& request = request_at(i);
+      if (!RequestIsValid(request)) {
+        ++counts.invalid_requests;
+        responses[i].status = EstimateStatus::kInvalidRequest;
+        continue;
+      }
+      const bool tracked = request.probing_cost < 0.0;
+      uint64_t hash = 0;
+      if (use_cache && tracked) {
+        hash = cache_.Hash(request.site, static_cast<int>(request.class_id),
+                           request.features);
+        if (cache_.Lookup(hash, request.site,
+                          static_cast<int>(request.class_id),
+                          request.features, epoch, &responses[i])) {
+          ++counts.estimate_cache_hits;
+          continue;
+        }
+        ++counts.estimate_cache_misses;
+      }
+      const uint32_t r = read_of[i];
+      size_t entry_index = memo.size();
+      for (size_t m = 0; m < memo.size(); ++m) {
+        if (memo[m].read == r && memo[m].class_id == request.class_id) {
+          entry_index = m;
+          break;
+        }
+      }
+      if (entry_index == memo.size()) {
+        MemoEntry fresh;
+        fresh.read = r;
+        fresh.class_id = request.class_id;
+        const SiteRead& read = reads[r];
+        fresh.equations = EquationsFor(read.site, request.class_id);
+        if (fresh.equations != nullptr) {
+          fresh.stale_model =
+              read.site->stale_model[static_cast<size_t>(request.class_id)];
+          if (read.reading.has_value) {
+            fresh.fast = true;
+            fresh.probing_cost = read.reading.probing_cost;
+            fresh.stale = read.reading.stale;
+            fresh.degraded = read.reading.degraded;
+            fresh.state = fresh.equations->StateOf(fresh.probing_cost);
+          }
+        }
+        memo.push_back(std::move(fresh));
+      }
+
+      MemoEntry& entry = memo[entry_index];
+      EstimateResponse& response = responses[i];
+      ++counts.requests;
+      if (entry.fast && tracked) {
+        // Width-check now (same abort point as the scalar path), defer
+        // the arithmetic to the grouped flush below.
+        entry.equations->CheckFeatureWidth(request.features);
+        entry.group.emplace_back(i, hash);
+        continue;
+      }
+      if (entry.equations == nullptr) {
+        ++counts.no_model;
+        response.status = EstimateStatus::kNoModel;
+        continue;
+      }
+      if (entry.stale_model) {
+        response.stale_model = true;
+        ++counts.stale_model_served;
+      }
+      // Explicit probing costs, or a tracked request for a site with no
+      // reading (kNoProbe); neither is cacheable.
+      if (!ResolveProbe(request, reads[r].reading, response, counts)) continue;
+      entry.equations->CheckFeatureWidth(request.features);
+      response.status = EstimateStatus::kOk;
+      response.model_generation = entry.equations->generation();
+      response.state = entry.equations->StateOf(response.probing_cost);
+      response.estimate_seconds = entry.equations->EvaluateInState(
+          request.features.data(), response.state);
     }
-    site_probes.emplace(request.site, std::move(probe));
-  }
 
-  pool_.ParallelFor(
-      requests.size(), config_.batch_grain, [&](size_t begin, size_t end) {
-        // Batches concentrate on few (site, class) pairs; memoize per pair
-        // everything that is batch-invariant. With a cached probe the
-        // contention state — and therefore the active compiled equation row
-        // — is fixed for the whole batch: the scan pass resolves each
-        // pair's state once and collects its requests into a group, and a
-        // flush pass gathers every group's selected features into
-        // contiguous rows and streams them through
-        // CompiledEquations::EvaluateRowsInState — one pinned coefficient
-        // row, unit-stride loads, bit-exact with the scalar path.
-        // Counters are flushed once per chunk instead of once per request.
-        struct MemoEntry {
-          const std::string* site;
-          core::QueryClassId class_id;
-          const core::CompiledEquations* equations;  // serving form
-          const ProbeReading* probe = nullptr;       // site's batch reading
-          // Grouped evaluation, valid when `fast`: requests indexed by
-          // `group` all evaluate state `state`'s row.
-          bool fast = false;
-          int state = -1;
-          bool stale = false;
-          bool degraded = false;     // site breaker not closed
-          bool stale_model = false;  // key flagged by the refresh daemon
-          double probing_cost = 0.0;
-          std::vector<size_t> group;  // request indices awaiting the flush
-        };
-        std::vector<MemoEntry> memo;
-        memo.reserve(8);
-        LocalCounts counts;
-        const auto cache_insert = [&](const EstimateRequest& request,
-                                      const EstimateResponse& response) {
-          if (!use_cache || request.probing_cost >= 0.0) return;
-          const auto it = site_probes.find(request.site);
-          if (it == site_probes.end()) return;
-          MaybeCacheResponse(*snapshot, request, response, it->second.tracker,
-                             it->second.state_version_before,
-                             it->second.reading);
-        };
-        for (size_t i = begin; i < end; ++i) {
-          const EstimateRequest& request = requests[i];
-          if (!RequestIsValid(request)) {
-            ++counts.invalid_requests;
-            responses[i].status = EstimateStatus::kInvalidRequest;
-            continue;
-          }
-          if (use_cache && request.probing_cost < 0.0) {
-            if (cache_.Lookup(request.site,
-                              static_cast<int>(request.class_id),
-                              request.features, epoch, &responses[i])) {
-              ++counts.estimate_cache_hits;
-              continue;
-            }
-            ++counts.estimate_cache_misses;
-          }
-          size_t entry_index = memo.size();
-          for (size_t m = 0; m < memo.size(); ++m) {
-            if (memo[m].class_id == request.class_id &&
-                *memo[m].site == request.site) {
-              entry_index = m;
-              break;
-            }
-          }
-          if (entry_index == memo.size()) {
-            MemoEntry fresh;
-            fresh.site = &request.site;
-            fresh.class_id = request.class_id;
-            fresh.equations =
-                snapshot->FindCompiled(request.site, request.class_id);
-            if (fresh.equations != nullptr && !stale_keys->empty()) {
-              fresh.stale_model =
-                  stale_keys->count(std::make_pair(
-                      request.site, static_cast<int>(request.class_id))) > 0;
-            }
-            const auto it = site_probes.find(request.site);
-            if (it != site_probes.end()) fresh.probe = &it->second.reading;
-            if (fresh.equations != nullptr && fresh.probe != nullptr &&
-                fresh.probe->has_value) {
-              fresh.fast = true;
-              fresh.probing_cost = fresh.probe->probing_cost;
-              fresh.stale = fresh.probe->stale;
-              fresh.degraded = fresh.probe->degraded;
-              fresh.state = fresh.equations->StateOf(fresh.probing_cost);
-            }
-            memo.push_back(std::move(fresh));
-          }
-
-          MemoEntry& entry = memo[entry_index];
-          EstimateResponse& response = responses[i];
-          ++counts.requests;
-          if (entry.fast && request.probing_cost < 0.0) {
-            // Width-check now (same abort point as the scalar path), defer
-            // the arithmetic to the grouped flush below.
-            entry.equations->CheckFeatureWidth(request.features);
-            entry.group.push_back(i);
-            continue;
-          }
-          if (entry.equations == nullptr) {
-            ++counts.no_model;
-            response.status = EstimateStatus::kNoModel;
-            continue;
-          }
-          if (entry.stale_model) {
-            response.stale_model = true;
-            ++counts.stale_model_served;
-          }
-          const ProbeReading* cached =
-              request.probing_cost < 0.0 ? entry.probe : nullptr;
-          if (!ResolveProbe(request, cached, response, counts)) continue;
-          entry.equations->CheckFeatureWidth(request.features);
-          response.status = EstimateStatus::kOk;
-          response.model_generation = entry.equations->generation();
-          response.state = entry.equations->StateOf(response.probing_cost);
-          response.estimate_seconds = entry.equations->EvaluateInState(
-              request.features.data(), response.state);
-          cache_insert(request, response);
+    // Grouped flush: per (site, class) group, gather the selected
+    // features into packed rows and evaluate the whole group against
+    // its one resolved state row. Scratch is reused across groups.
+    std::vector<double> packed;
+    std::vector<double> estimates;
+    for (MemoEntry& entry : memo) {
+      if (entry.group.empty()) continue;
+      const size_t k = entry.equations->num_selected();
+      packed.resize(entry.group.size() * k);
+      estimates.resize(entry.group.size());
+      for (size_t g = 0; g < entry.group.size(); ++g) {
+        entry.equations->GatherSelected(
+            request_at(entry.group[g].first).features.data(),
+            packed.data() + g * k);
+      }
+      entry.equations->EvaluateRowsInState(entry.state, packed.data(),
+                                           entry.group.size(),
+                                           estimates.data());
+      for (size_t g = 0; g < entry.group.size(); ++g) {
+        const auto [i, hash] = entry.group[g];
+        EstimateResponse& response = responses[i];
+        response.status = EstimateStatus::kOk;
+        response.model_generation = entry.equations->generation();
+        response.probing_cost = entry.probing_cost;
+        response.stale_probe = entry.stale;
+        response.state = entry.state;
+        response.estimate_seconds = estimates[g];
+        if (entry.degraded) {
+          response.degraded = true;
+          ++counts.degraded_served;
         }
-
-        // Grouped flush: per (site, class) group, gather the selected
-        // features into packed rows and evaluate the whole group against
-        // its one resolved state row. Scratch is reused across groups.
-        std::vector<double> packed;
-        std::vector<double> estimates;
-        for (MemoEntry& entry : memo) {
-          if (entry.group.empty()) continue;
-          const size_t k = entry.equations->num_selected();
-          packed.resize(entry.group.size() * k);
-          estimates.resize(entry.group.size());
-          for (size_t g = 0; g < entry.group.size(); ++g) {
-            entry.equations->GatherSelected(
-                requests[entry.group[g]].features.data(),
-                packed.data() + g * k);
-          }
-          entry.equations->EvaluateRowsInState(
-              entry.state, packed.data(), entry.group.size(),
-              estimates.data());
-          for (size_t g = 0; g < entry.group.size(); ++g) {
-            const size_t i = entry.group[g];
-            EstimateResponse& response = responses[i];
-            response.status = EstimateStatus::kOk;
-            response.model_generation = entry.equations->generation();
-            response.probing_cost = entry.probing_cost;
-            response.stale_probe = entry.stale;
-            response.state = entry.state;
-            response.estimate_seconds = estimates[g];
-            if (entry.degraded) {
-              response.degraded = true;
-              ++counts.degraded_served;
-            }
-            if (entry.stale_model) {
-              response.stale_model = true;
-              ++counts.stale_model_served;
-            }
-            if (entry.stale) {
-              ++counts.probe_cache_stale;
-            } else {
-              ++counts.probe_cache_hits;
-            }
-            cache_insert(requests[i], response);
-          }
+        if (entry.stale_model) {
+          response.stale_model = true;
+          ++counts.stale_model_served;
         }
-        if (counts.invalid_requests > 0) {
-          RmwProbe::Count();
-          invalid_total.fetch_add(counts.invalid_requests,
-                                  std::memory_order_relaxed);
+        if (entry.stale) {
+          ++counts.probe_cache_stale;
+        } else {
+          ++counts.probe_cache_hits;
         }
-        FlushCounts(counts);
-      });
+        if (use_cache) {
+          MaybeCacheResponse(epoch, hash, reads[entry.read], request_at(i),
+                             response);
+        }
+      }
+    }
+    if (counts.invalid_requests > 0) {
+      RmwProbe::Count();
+      invalid_total.fetch_add(counts.invalid_requests,
+                              std::memory_order_relaxed);
+    }
+    FlushCounts(counts);
+  });
 
   // Amortized per-item latency: the batch's wall time spread over the items
   // actually priced (invalid rejects recorded no work).
-  const uint64_t priced =
-      requests.size() - invalid_total.load(std::memory_order_relaxed);
+  const uint64_t priced = n - invalid_total.load(std::memory_order_relaxed);
   if (priced > 0) {
     const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::steady_clock::now() - started);
     estimate_latency_.RecordN(elapsed / static_cast<int64_t>(priced), priced);
   }
+}
+
+std::vector<EstimateResponse> EstimationService::EstimateBatch(
+    const std::vector<EstimateRequest>& requests) const {
+  std::vector<EstimateResponse> responses(requests.size());
+  PriceBatch(
+      requests.size(),
+      [&requests](size_t i) -> const EstimateRequest& { return requests[i]; },
+      responses.data(), nullptr);
   return responses;
 }
 
@@ -893,32 +915,30 @@ PlacementResult EstimationService::ChoosePlacement(
 PlacementResult EstimationService::ChoosePlacement(
     const std::vector<PlacementCandidate>& candidates,
     const PlacementOptions& options) const {
+  const size_t n = candidates.size();
   PlacementResult result;
   result.policy = options.ranking.policy;
-  std::vector<EstimateRequest> requests;
-  requests.reserve(candidates.size());
-  for (const PlacementCandidate& c : candidates) requests.push_back(c.request);
-  result.responses = EstimateBatch(requests);
+  result.responses.resize(n);
+  result.total_seconds.resize(n, std::numeric_limits<double>::infinity());
+  result.scores.resize(n, std::numeric_limits<double>::infinity());
+  result.distributions.resize(n);
 
-  result.total_seconds.resize(candidates.size(),
-                              std::numeric_limits<double>::infinity());
-  result.scores.resize(candidates.size(),
-                       std::numeric_limits<double>::infinity());
-  result.distributions.resize(candidates.size());
-
-  // One epoch guard pins the catalog for the distribution pass. The snapshot
-  // may be newer than the one EstimateBatch priced under (a registration can
-  // land in between); the width check below keeps a re-registered model from
-  // reading past a shorter feature vector, and the distribution then simply
-  // reflects the newer model — same freshness contract as two back-to-back
-  // estimates.
+  // One epoch guard spans the batch and the distribution pass, so each
+  // candidate's distribution comes from the very serving form that priced
+  // it (the batch hands them back; no second lookup).
   EpochGuard guard;
-  const core::GlobalCatalog* snapshot = catalog_.Read(guard);
+  std::vector<const core::CompiledEquations*> equations(n, nullptr);
+  PriceBatch(
+      n,
+      [&candidates](size_t i) -> const EstimateRequest& {
+        return candidates[i].request;
+      },
+      result.responses.data(), equations.data());
 
   double best_score = std::numeric_limits<double>::infinity();
   double best_point = std::numeric_limits<double>::infinity();
   int point_chosen = -1;
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const EstimateResponse& response = result.responses[i];
     if (!response.ok()) continue;
     const double total =
@@ -926,16 +946,13 @@ PlacementResult EstimationService::ChoosePlacement(
     result.total_seconds[i] = total;
 
     core::CostDistribution distribution;
-    const core::CompiledEquations* equations = snapshot->FindCompiled(
-        candidates[i].request.site, candidates[i].request.class_id);
-    if (equations != nullptr &&
-        candidates[i].request.features.size() >= equations->min_features()) {
-      distribution = equations->EvaluateDistribution(
+    if (equations[i] != nullptr) {
+      distribution = equations[i]->EvaluateDistribution(
           candidates[i].request.features, response.probing_cost,
           options.ranking.boundary_band_fraction);
     } else {
-      // Model vanished between the batch and this pass: degenerate to the
-      // point estimate (zero width) rather than dropping the candidate.
+      // No serving form to spread over: degenerate to the point estimate
+      // (zero width) rather than dropping the candidate.
       distribution.mean = response.estimate_seconds;
       distribution.low = response.estimate_seconds;
       distribution.high = response.estimate_seconds;
@@ -981,8 +998,12 @@ RuntimeStatsSnapshot EstimationService::Stats() const {
   std::lock_guard<std::mutex> retired_lock(retired_mutex_);
   // Probes are counted at the trackers (background and ProbeNow alike):
   // `probes` = attempts, of which `probe_failures` kept the old reading.
-  const TrackerMapSnapshot map = trackers_.load();
-  for (const auto& [site, tracker] : *map) {
+  const auto view = view_.load();
+  for (const SiteEntry& entry : view->sites) {
+    out.stale_models += static_cast<uint64_t>(std::count(
+        std::begin(entry.stale_model), std::end(entry.stale_model), true));
+    const ContentionTracker* tracker = entry.tracker.get();
+    if (tracker == nullptr) continue;
     out.probes += tracker->probes() + tracker->failures();
     out.probe_failures += tracker->failures();
     out.probe_discards += tracker->discarded();
@@ -1016,7 +1037,6 @@ RuntimeStatsSnapshot EstimationService::Stats() const {
   out.probes_suppressed += retired_.suppressed;
   out.breaker_opens += retired_.breaker_opens;
   out.sites_retired = sites_retired_;
-  out.stale_models = stale_keys_.load()->size();
   out.estimate_cache_invalidations = cache_.invalidations();
   out.estimate_latency = estimate_latency_.Snap();
   out.probe_latency = probe_latency_.Snap();

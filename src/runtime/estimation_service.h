@@ -25,12 +25,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "core/catalog.h"
@@ -172,12 +171,12 @@ class EstimationService {
   // so cached responses priced under the old catalog can never hit again),
   // clears the site's stale-model flags and eagerly evicts its cached
   // estimates. In-flight estimates drain safely — an epoch guard pins the
-  // tracker map and catalog snapshot they read, and the tracker object
-  // itself stays alive through the shared_ptrs those snapshots (and any
-  // surviving cache entries) hold. The retired tracker's probe/breaker
-  // counters are folded into the service totals so Stats() stays monotone
-  // across churn. Idempotent; unknown sites are a no-op. See DESIGN §7
-  // "Site lifecycle" for the full contract.
+  // read view they read, which holds the tracker and the catalog snapshot;
+  // cache entries point at the site's cell, which lives as long as the
+  // service (a later RegisterSite keeps the name's id and cell). The
+  // retired tracker's probe/breaker counters are folded into the service
+  // totals so Stats() stays monotone across churn. Idempotent; unknown sites
+  // are a no-op. See DESIGN §7 "Site lifecycle" for the full contract.
   void UnregisterSite(const std::string& site);
 
   // Graceful-shutdown hook: stops every site's background prober and blocks
@@ -249,13 +248,51 @@ class EstimationService {
   ThreadPool& worker_pool() const { return pool_; }
 
  private:
-  using TrackerMap =
-      std::map<std::string, std::shared_ptr<ContentionTracker>>;
-  using TrackerMapSnapshot = std::shared_ptr<const TrackerMap>;
-  // (site, class id) keys currently flagged stale, published copy-on-write
-  // like the tracker map so the estimate path reads it lock-free.
-  using StaleKeySet = std::set<std::pair<std::string, int>>;
-  using StaleKeySnapshot = std::shared_ptr<const StaleKeySet>;
+  // Dense per-service handle of a site name: assigned the first time the
+  // name is registered (as a site or through a model), never reused, and
+  // kept across re-registration and retirement.
+  using SiteId = uint32_t;
+  // kJoinIndex is the last QueryClassId.
+  static constexpr size_t kNumClasses =
+      static_cast<size_t>(core::QueryClassId::kJoinIndex) + 1;
+
+  // Everything a request needs about one site after its one name→id lookup.
+  struct SiteEntry {
+    std::string name;
+    SiteCell* cell = nullptr;                    // service-owned, stable
+    std::shared_ptr<ContentionTracker> tracker;  // null when none registered
+    // Serving form and stale-model flag per query class (null: no model).
+    const core::CompiledEquations* equations[kNumClasses] = {};
+    bool stale_model[kNumClasses] = {};
+    // Class of the most recently registered model (-1: none): the partition
+    // RegisterSite wires into a new tracker.
+    int newest_class = -1;
+  };
+
+  // The flat read view of the control plane, indexed by SiteId. Rebuilt and
+  // epoch-published under control_mutex_ by every control-plane change; the
+  // estimate paths read it raw under an EpochGuard (zero shared RMWs), cold
+  // callers through the shared_ptr load.
+  struct ReadView {
+    SnapshotCatalog::Snapshot catalog;  // pins every `equations` pointer
+    std::unordered_map<std::string, SiteId> ids;
+    std::vector<SiteEntry> sites;
+
+    const SiteEntry* Find(const std::string& site) const {
+      const auto it = ids.find(site);
+      return it == ids.end() ? nullptr : &sites[it->second];
+    }
+  };
+
+  // One site's reading, taken once per request or once per batch, with the
+  // cell state version loaded before it (what a cache insert validates
+  // against). `reading.has_value` is false when the site has no tracker.
+  struct SiteRead {
+    const SiteEntry* site = nullptr;  // null: unknown site
+    ProbeReading reading;
+    uint64_t state_version = 0;
+    bool taken = false;
+  };
 
   // Counter deltas accumulated on the stack during a request or chunk and
   // flushed to the sharded counters once — the hot path performs no atomic
@@ -279,34 +316,53 @@ class EstimationService {
 
   void FlushCounts(const LocalCounts& counts) const;
 
-  // The site's tracker, or nullptr (lock-free snapshot read).
+  // The site's serving form for `class_id`, or null.
+  static const core::CompiledEquations* EquationsFor(
+      const SiteEntry* site, core::QueryClassId class_id);
+
+  // The site's tracker, or nullptr (cold: a shared_ptr view load).
   std::shared_ptr<ContentionTracker> FindTracker(const std::string& site) const;
+
+  // The service clock's reading, reusing `steady_now` for the system clock.
+  Clock::TimePoint ClockNow(
+      std::chrono::steady_clock::time_point steady_now) const;
+
+  // Reads the site's cell (loads only) with staleness evaluated at `now`.
+  static SiteRead ReadSite(const SiteEntry* site, Clock::TimePoint now);
 
   // Resolves the probe for a request: explicit value, or the site's cached
   // reading (counting hit/stale/miss into `counts`).
   bool ResolveProbe(const EstimateRequest& request,
-                    const ProbeReading* cached_reading,
+                    const ProbeReading& cached_reading,
                     EstimateResponse& response, LocalCounts& counts) const;
 
-  EstimateResponse EstimateWithSnapshot(const core::GlobalCatalog& catalog,
-                                        const StaleKeySet& stale_keys,
-                                        const EstimateRequest& request,
-                                        const ProbeReading* cached_reading,
-                                        LocalCounts& counts) const;
+  // Prices one request against its site entry and reading.
+  EstimateResponse Price(const SiteRead& read, const EstimateRequest& request,
+                         LocalCounts& counts) const;
 
-  // Caches `response` keyed under `catalog`'s revision if it is cacheable:
-  // served OK from a fresh tracker reading. `state_version_before` is the
-  // tracker's version loaded before `reading` was taken.
-  void MaybeCacheResponse(const core::GlobalCatalog& catalog,
+  // Caches `response` under catalog revision `epoch` and key hash `hash` if
+  // it is cacheable: served OK from a fresh tracker reading.
+  void MaybeCacheResponse(uint64_t epoch, uint64_t hash, const SiteRead& read,
                           const EstimateRequest& request,
-                          const EstimateResponse& response,
-                          const std::shared_ptr<ContentionTracker>& tracker,
-                          uint64_t state_version_before,
-                          const ProbeReading& reading) const;
+                          const EstimateResponse& response) const;
 
-  // Flips the stale flag for a key; caller must hold control_mutex_.
-  void SetModelStaleLocked(const std::string& site,
-                           core::QueryClassId class_id, bool stale);
+  // The batch path behind EstimateBatch and ChoosePlacement: prices
+  // request_at(0..n) into responses[0..n] against one view and one reading
+  // per distinct site. When `equations` is non-null it receives each
+  // request's resolved serving form (valid under the caller's EpochGuard).
+  template <typename RequestAt>
+  void PriceBatch(size_t n, const RequestAt& request_at,
+                  EstimateResponse* responses,
+                  const core::CompiledEquations** equations) const;
+
+  // Control-plane view editing; callers hold control_mutex_. EditViewLocked
+  // copies the published view; SiteLocked returns the copy's entry for
+  // `site`, assigning its id and cell on first sight; PublishViewLocked
+  // re-resolves every entry's equations against the current catalog and
+  // publishes the copy.
+  std::shared_ptr<ReadView> EditViewLocked() const;
+  SiteEntry& SiteLocked(ReadView& view, const std::string& site);
+  void PublishViewLocked(std::shared_ptr<ReadView> view);
 
   // RegisterModel's body; caller must hold control_mutex_. `states` and
   // `class_id` are captured from `model` before it moves.
@@ -316,24 +372,17 @@ class EstimationService {
 
   const EstimationServiceConfig config_;
   SnapshotCatalog catalog_;
-  // Declared before the trackers so entries (which pin tracker references)
-  // are retired after the tracker map; the destructor stops every live
-  // prober first regardless.
   mutable EstimateCache cache_;
 
   // Serializes the control plane: model registration, site registration and
   // stale-flag flips. Estimates never take it — they read the published
-  // snapshots. Holding one mutex across a whole RegisterSite/RegisterModel
-  // is what closes the tracker-publication vs. mapper-wiring race.
+  // view. Holding one mutex across a whole RegisterSite/RegisterModel is
+  // what closes the tracker-publication vs. mapper-wiring race.
   mutable std::mutex control_mutex_;
-  // Epoch-published: the estimate hot path reads these raw under an
-  // EpochGuard (zero shared RMWs); the control plane and cold callers use
-  // the shared_ptr load.
-  EpochPublished<TrackerMap> trackers_;
-  EpochPublished<StaleKeySet> stale_keys_;
-  // Last registered model class per site (control_mutex_): the partition
-  // RegisterSite wires into a new tracker.
-  std::map<std::string, core::QueryClassId> newest_class_;
+  // One cell per SiteId, freed only with the service: cache entries and
+  // trackers point at them (control_mutex_ guards the vector, not the cells).
+  std::vector<std::unique_ptr<SiteCell>> cells_;
+  EpochPublished<ReadView> view_;
 
   // Terminal counter totals of trackers that were replaced (RegisterSite)
   // or retired (UnregisterSite). Stats() adds these to the live trackers'
@@ -342,9 +391,9 @@ class EstimationService {
   // with — or deadlocks against — control-plane calls that join probers
   // while holding control_mutex_).
   //
-  // Atomicity contract: a tracker's unpublication from trackers_ and the
+  // Atomicity contract: a tracker's unpublication from view_ and the
   // fold of its counts into retired_ happen under ONE retired_mutex_ hold,
-  // and Stats() reads the map and retired_ under that same mutex — so at
+  // and Stats() reads the view and retired_ under that same mutex — so at
   // every observable instant a tracker's history is counted in exactly one
   // of the two. (Unpublish-then-fold made the tracker's whole history
   // vanish from a Stats() racing the gap; fold-then-unpublish would double

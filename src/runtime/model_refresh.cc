@@ -60,7 +60,7 @@ void ModelRefreshDaemon::Watch(const std::string& site,
   std::lock_guard<std::mutex> lock(keys_mutex_);
   auto next = std::make_shared<KeyMap>(*keys_.load());
   (*next)[{site, static_cast<int>(class_id)}] = std::move(entry);
-  keys_.store(std::move(next));
+  keys_.Publish(std::move(next));
 }
 
 void ModelRefreshDaemon::Unwatch(const std::string& site,
@@ -73,7 +73,7 @@ void ModelRefreshDaemon::Unwatch(const std::string& site,
     if (it == next->end()) return;
     removed = it->second;
     next->erase(it);
-    keys_.store(std::move(next));
+    keys_.Publish(std::move(next));
   }
   {
     std::lock_guard<std::mutex> lock(removed->mutex);
@@ -99,7 +99,7 @@ void ModelRefreshDaemon::UnwatchSite(const std::string& site) {
       }
     }
     if (removed.empty()) return;
-    keys_.store(std::move(next));
+    keys_.Publish(std::move(next));
   }
   for (const auto& entry : removed) {
     {

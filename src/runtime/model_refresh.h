@@ -59,8 +59,8 @@
 #include "core/observation.h"
 #include "core/observation_source.h"
 #include "core/query_class.h"
-#include "runtime/atomic_shared_ptr.h"
 #include "runtime/clock.h"
+#include "runtime/epoch.h"
 #include "runtime/estimation_service.h"
 
 namespace mscm::runtime {
@@ -233,7 +233,7 @@ class ModelRefreshDaemon {
   const ModelRefreshConfig config_;
 
   std::mutex keys_mutex_;  // writers (Watch); readers load the snapshot
-  AtomicSharedPtr<const KeyMap> keys_;
+  EpochPublished<KeyMap> keys_;
 
   // In-flight task accounting so the destructor can drain.
   std::mutex pending_mutex_;

@@ -10,9 +10,10 @@
 // FindCompiled() pointer stays valid for as long as the reader holds the
 // snapshot, no matter how many registrations happen meanwhile. Because each
 // registered CostModel carries its core::CompiledEquations serving table,
-// publishing a snapshot *is* publishing the compiled form: the runtime's
-// estimate paths call FindCompiled() on a pinned snapshot and evaluate the
-// immutable table directly. Writers serialize on a mutex (model
+// publishing a snapshot *is* publishing the compiled form: the estimation
+// service resolves FindCompiled() once per publication into its read view,
+// which pins the snapshot, and its estimate paths evaluate the immutable
+// table directly. Writers serialize on a mutex (model
 // registration is rare: once per derived/rebuilt model).
 
 #ifndef MSCM_RUNTIME_SNAPSHOT_CATALOG_H_
@@ -39,15 +40,8 @@ class SnapshotCatalog {
   SnapshotCatalog& operator=(const SnapshotCatalog&) = delete;
 
   // The current immutable snapshot. Never null; cheap (one atomic refcount
-  // bump); safe from any thread. Cold path — hot readers use Read().
+  // bump); safe from any thread.
   Snapshot snapshot() const { return current_.load(); }
-
-  // Epoch-protected raw read for the estimate hot path: valid while `guard`
-  // is alive, zero shared atomic RMWs. Never null (a catalog is published
-  // at construction).
-  const core::GlobalCatalog* Read(const EpochGuard& guard) const {
-    return current_.Read(guard);
-  }
 
   // Copy-on-write registration of (site, model.class_id()) → model.
   void Register(const std::string& site, core::CostModel model);

@@ -312,6 +312,76 @@ TEST(ContentionTrackerTest, StateVersionTracksFlipsRemapsAndStaleness) {
   EXPECT_EQ(tracker.state_version(), after_stale);
 }
 
+// The reading is a seqlock: a reader must never mix fields of two
+// publications. The k-th probe publishes cost k under sequence k and the
+// mapper sends cost k to state k, so any torn read shows as a mismatch.
+TEST(ContentionTrackerTest, SeqlockReadersNeverSeeATornReading) {
+  FakeClock clock;
+  std::atomic<int> probes{0};
+  ContentionTracker tracker(ManualConfig(&clock, seconds(5)), [&probes] {
+    return static_cast<double>(probes.fetch_add(1) + 1);
+  });
+  tracker.SetStateMapper([](double c) { return static_cast<int>(c); });
+  ASSERT_TRUE(tracker.ProbeOnce());
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> torn{false};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        const ProbeReading r = tracker.Current();
+        if (r.state != static_cast<int>(r.probing_cost) ||
+            r.sequence != static_cast<uint64_t>(r.probing_cost)) {
+          torn.store(true);
+          return;
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  // Keep publishing until the readers, however late they were scheduled,
+  // have raced plenty of publications.
+  uint64_t published = 1;
+  while (!torn.load() && (published < 20000 || reads.load() < 2000)) {
+    if (!tracker.ProbeOnce()) {
+      ADD_FAILURE() << "probe " << published + 1 << " failed";
+      break;
+    }
+    ++published;
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_FALSE(torn.load());
+  EXPECT_GE(reads.load(), 2000u);
+  EXPECT_EQ(tracker.Current().sequence, published);
+}
+
+// Many readers see the same TTL crossing; the fresh->stale flip is one
+// compare-and-swap, so the version moves exactly once.
+TEST(ContentionTrackerTest, ConcurrentReadersFoldOneTtlCrossingOnce) {
+  FakeClock clock;
+  ContentionTracker tracker(ManualConfig(&clock, seconds(5)),
+                            [] { return 0.7; });
+  ASSERT_TRUE(tracker.ProbeOnce());
+  ASSERT_FALSE(tracker.Current().stale);
+  const uint64_t fresh_version = tracker.state_version();
+
+  clock.Advance(seconds(6));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < 1000; ++i) ASSERT_TRUE(tracker.Current().stale);
+    });
+  }
+  go.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(tracker.state_version(), fresh_version + 1);
+}
+
 TEST(ContentionTrackerTest, StateChangeCallbackFiresOnTransitionsOnly) {
   FakeClock clock;
   std::atomic<double> cost{0.5};

@@ -5,12 +5,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "runtime/clock.h"
+#include "runtime/epoch.h"
 #include "runtime/estimation_service.h"
 #include "tests/test_util.h"
 
@@ -260,16 +264,112 @@ TEST(EstimateCacheServiceTest, CachedAnswersStayExactAcrossFlappingStates) {
   EXPECT_GT(service.Stats().estimate_cache_hits, 400u);
 }
 
+// Regression for entry lifetime: entries point at the site's cell, not at
+// its tracker. A thread holds entries for a site while the site's tracker
+// is replaced (and freed) and then the site is retired: no entry may hit
+// after either event, and nothing freed may be touched (run under ASan).
+TEST(EstimateCacheServiceTest,
+     HeldEntriesDieWithTrackerReplacementAndRetirement) {
+  EstimationService service(CachedConfig());
+  const auto cls = QueryClassId::kUnarySeqScan;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+  service.RegisterSite("a", [] { return 0.5; });
+  ASSERT_TRUE(service.ProbeNow("a"));
+
+  // The holder thread prices one working set per round; the main thread
+  // changes the site between rounds, while the holder is parked.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int requested = 0;
+  int completed = 0;
+  std::vector<EstimateResponse> last;
+  std::thread holder([&] {
+    for (int round = 1; round <= 4; ++round) {
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return requested >= round; });
+      }
+      std::vector<EstimateResponse> out;
+      for (int x = 1; x <= 8; ++x) {
+        out.push_back(service.Estimate(Request("a", cls, x)));
+      }
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        last = std::move(out);
+        completed = round;
+      }
+      cv.notify_all();
+    }
+  });
+  const auto run_round = [&](int round) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      requested = round;
+    }
+    cv.notify_all();
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return completed >= round; });
+    return last;
+  };
+  const auto hits = [&] { return service.Stats().estimate_cache_hits; };
+
+  run_round(1);  // the holder's shard now holds the working set
+  uint64_t before = hits();
+  std::vector<EstimateResponse> responses = run_round(2);
+  EXPECT_EQ(hits() - before, 8u);
+
+  // Same probe value, same state, same catalog revision: only the cell's
+  // versions can retire the entries. Reclaiming frees the replaced tracker.
+  service.RegisterSite("a", [] { return 0.5; });
+  ASSERT_TRUE(service.ProbeNow("a"));
+  EpochDomain::Global().Reclaim(/*wait_for_readers=*/true);
+  before = hits();
+  responses = run_round(3);
+  EXPECT_EQ(hits() - before, 0u);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok());
+    EXPECT_NEAR(responses[i].estimate_seconds, 2.0 * static_cast<double>(i + 1),
+                1e-6);
+  }
+
+  service.UnregisterSite("a");
+  EpochDomain::Global().Reclaim(/*wait_for_readers=*/true);
+  before = hits();
+  responses = run_round(4);
+  EXPECT_EQ(hits() - before, 0u);
+  for (const EstimateResponse& response : responses) {
+    EXPECT_EQ(response.status, EstimateStatus::kNoModel);
+  }
+  holder.join();
+}
+
 // ---- Direct cache unit tests ----------------------------------------------
+
+// Lookup / Insert under the cache's own key hash, as the service calls them.
+bool Lookup(EstimateCache& cache, const std::string& site, int class_id,
+            const std::vector<double>& features, uint64_t epoch,
+            EstimateResponse* response) {
+  return cache.Lookup(cache.Hash(site, class_id, features), site, class_id,
+                      features, epoch, response);
+}
+
+void Insert(EstimateCache& cache, const std::string& site, int class_id,
+            const std::vector<double>& features, uint64_t epoch,
+            const EstimateCache::InsertContext& context,
+            const EstimateResponse& response) {
+  cache.Insert(cache.Hash(site, class_id, features), site, class_id, features,
+               epoch, context, response);
+}
 
 TEST(EstimateCacheTest, DisabledCacheMissesAndDropsInserts) {
   EstimateCache cache(EstimateCacheConfig{});  // capacity_per_thread 0
   EXPECT_FALSE(cache.enabled());
   EstimateResponse response;
-  EXPECT_FALSE(cache.Lookup("a", 0, {1.0}, 0, &response));
-  cache.Insert("a", 0, {1.0}, 0, {}, response);
-  EXPECT_FALSE(cache.Lookup("a", 0, {1.0}, 0, &response));
-  cache.InvalidateAll();  // no-op on a disabled cache
+  EXPECT_FALSE(Lookup(cache, "a", 0, {1.0}, 0, &response));
+  Insert(cache, "a", 0, {1.0}, 0, {}, response);
+  EXPECT_FALSE(Lookup(cache, "a", 0, {1.0}, 0, &response));
+  SiteCell cell;
+  EstimateCache::InvalidateSite(cell);  // nothing cached to retire
   EXPECT_EQ(cache.invalidations(), 0u);
 }
 
@@ -283,14 +383,24 @@ class EstimateCacheUnitTest : public ::testing::Test {
     tracker_config.site = "a";
     tracker_config.ttl = seconds(5);
     tracker_config.clock = &clock_;
+    tracker_config.cell = &cell_;
     tracker_ = std::make_shared<ContentionTracker>(
+        tracker_config, [this] { return probe_value_.load(); });
+    tracker_config.site = "b";
+    tracker_config.cell = &cell_b_;
+    tracker_b_ = std::make_shared<ContentionTracker>(
         tracker_config, [this] { return probe_value_.load(); });
   }
 
   EstimateCache::InsertContext Context(double lo, double hi) {
+    return Context(lo, hi, cell_);
+  }
+
+  static EstimateCache::InsertContext Context(double lo, double hi,
+                                              const SiteCell& cell) {
     EstimateCache::InsertContext context;
-    context.tracker = tracker_;
-    context.state_version = tracker_->state_version();
+    context.cell = &cell;
+    context.state_version = cell.state_version.load();
     context.state_lo = lo;
     context.state_hi = hi;
     return context;
@@ -306,54 +416,57 @@ class EstimateCacheUnitTest : public ::testing::Test {
 
   FakeClock clock_;
   std::atomic<double> probe_value_{0.5};
+  SiteCell cell_;    // site "a"
+  SiteCell cell_b_;  // site "b"
   std::unique_ptr<EstimateCache> cache_;
   std::shared_ptr<ContentionTracker> tracker_;
+  std::shared_ptr<ContentionTracker> tracker_b_;
 };
 
 TEST_F(EstimateCacheUnitTest, HitRequiresExactKeyMatch) {
   ASSERT_TRUE(tracker_->ProbeOnce());
-  cache_->Insert("a", 0, {1.0, 2.0}, 7, Context(0.0, 1.0), OkResponse(6.0));
+  Insert(*cache_, "a", 0, {1.0, 2.0}, 7, Context(0.0, 1.0), OkResponse(6.0));
 
   EstimateResponse response;
-  EXPECT_TRUE(cache_->Lookup("a", 0, {1.0, 2.0}, 7, &response));
+  EXPECT_TRUE(Lookup(*cache_, "a", 0, {1.0, 2.0}, 7, &response));
   EXPECT_DOUBLE_EQ(response.estimate_seconds, 6.0);
-  EXPECT_FALSE(cache_->Lookup("b", 0, {1.0, 2.0}, 7, &response));  // site
-  EXPECT_FALSE(cache_->Lookup("a", 1, {1.0, 2.0}, 7, &response));  // class
-  EXPECT_FALSE(cache_->Lookup("a", 0, {1.0, 2.5}, 7, &response));  // features
-  EXPECT_FALSE(cache_->Lookup("a", 0, {1.0}, 7, &response));       // arity
-  EXPECT_FALSE(cache_->Lookup("a", 0, {1.0, 2.0}, 8, &response));  // epoch
+  EXPECT_FALSE(Lookup(*cache_, "b", 0, {1.0, 2.0}, 7, &response));  // site
+  EXPECT_FALSE(Lookup(*cache_, "a", 1, {1.0, 2.0}, 7, &response));  // class
+  EXPECT_FALSE(Lookup(*cache_, "a", 0, {1.0, 2.5}, 7, &response));  // features
+  EXPECT_FALSE(Lookup(*cache_, "a", 0, {1.0}, 7, &response));       // arity
+  EXPECT_FALSE(Lookup(*cache_, "a", 0, {1.0, 2.0}, 8, &response));  // epoch
 }
 
 TEST_F(EstimateCacheUnitTest, CostDriftOutsideStateBoundsInvalidates) {
   ASSERT_TRUE(tracker_->ProbeOnce());  // publishes 0.5
-  cache_->Insert("a", 0, {1.0}, 7, Context(0.0, 1.0), OkResponse(6.0));
+  Insert(*cache_, "a", 0, {1.0}, 7, Context(0.0, 1.0), OkResponse(6.0));
   EstimateResponse response;
-  ASSERT_TRUE(cache_->Lookup("a", 0, {1.0}, 7, &response));
+  ASSERT_TRUE(Lookup(*cache_, "a", 0, {1.0}, 7, &response));
 
   // Without a state mapper the mapped state never changes (no version bump),
   // but the published cost leaves the entry's own state interval — the
   // value-correctness guard must reject the entry.
   probe_value_.store(5.0);
   ASSERT_TRUE(tracker_->ProbeOnce());
-  EXPECT_FALSE(cache_->Lookup("a", 0, {1.0}, 7, &response));
+  EXPECT_FALSE(Lookup(*cache_, "a", 0, {1.0}, 7, &response));
   EXPECT_EQ(cache_->invalidations(), 1u);
 }
 
 TEST_F(EstimateCacheUnitTest, StateVersionBumpInvalidates) {
   tracker_->SetStateMapper([](double c) { return c > 1.0 ? 1 : 0; });
   ASSERT_TRUE(tracker_->ProbeOnce());
-  cache_->Insert("a", 0, {1.0}, 7,
+  Insert(*cache_, "a", 0, {1.0}, 7,
                  Context(-std::numeric_limits<double>::infinity(),
                          std::numeric_limits<double>::infinity()),
                  OkResponse(6.0));
   EstimateResponse response;
-  ASSERT_TRUE(cache_->Lookup("a", 0, {1.0}, 7, &response));
+  ASSERT_TRUE(Lookup(*cache_, "a", 0, {1.0}, 7, &response));
 
   // The flip bumps the tracker's state version; even with infinite bounds
   // the version check retires the entry.
   probe_value_.store(1.5);
   ASSERT_TRUE(tracker_->ProbeOnce());
-  EXPECT_FALSE(cache_->Lookup("a", 0, {1.0}, 7, &response));
+  EXPECT_FALSE(Lookup(*cache_, "a", 0, {1.0}, 7, &response));
 }
 
 TEST_F(EstimateCacheUnitTest, EntryBornBeforeTransitionIsBornInvalid) {
@@ -361,27 +474,29 @@ TEST_F(EstimateCacheUnitTest, EntryBornBeforeTransitionIsBornInvalid) {
   // Version captured, then the world moves before the insert lands.
   EstimateCache::InsertContext context = Context(0.0, 10.0);
   tracker_->SetStateMapper([](double) { return 3; });  // bumps the version
-  cache_->Insert("a", 0, {1.0}, 7, context, OkResponse(6.0));
+  Insert(*cache_, "a", 0, {1.0}, 7, context, OkResponse(6.0));
   EstimateResponse response;
-  EXPECT_FALSE(cache_->Lookup("a", 0, {1.0}, 7, &response));
+  EXPECT_FALSE(Lookup(*cache_, "a", 0, {1.0}, 7, &response));
 }
 
 TEST_F(EstimateCacheUnitTest, InvalidateSiteEvictsOnlyThatSite) {
   ASSERT_TRUE(tracker_->ProbeOnce());
-  cache_->Insert("a", 0, {1.0}, 7, Context(0.0, 1.0), OkResponse(6.0));
-  cache_->Insert("a", 1, {2.0}, 7, Context(0.0, 1.0), OkResponse(8.0));
-  cache_->Insert("b", 0, {1.0}, 7, Context(0.0, 1.0), OkResponse(9.0));
+  ASSERT_TRUE(tracker_b_->ProbeOnce());
+  Insert(*cache_, "a", 0, {1.0}, 7, Context(0.0, 1.0), OkResponse(6.0));
+  Insert(*cache_, "a", 1, {2.0}, 7, Context(0.0, 1.0), OkResponse(8.0));
+  Insert(*cache_, "b", 0, {1.0}, 7, Context(0.0, 1.0, cell_b_),
+         OkResponse(9.0));
 
-  cache_->InvalidateSite("a");
+  EstimateCache::InvalidateSite(cell_);
   EstimateResponse response;
   // Invalidation is lazy (a version-cell bump): entries retire — and count —
   // when the owning thread next looks them up.
-  EXPECT_FALSE(cache_->Lookup("a", 0, {1.0}, 7, &response));
-  EXPECT_FALSE(cache_->Lookup("a", 1, {2.0}, 7, &response));
-  EXPECT_TRUE(cache_->Lookup("b", 0, {1.0}, 7, &response));
+  EXPECT_FALSE(Lookup(*cache_, "a", 0, {1.0}, 7, &response));
+  EXPECT_FALSE(Lookup(*cache_, "a", 1, {2.0}, 7, &response));
+  EXPECT_TRUE(Lookup(*cache_, "b", 0, {1.0}, 7, &response));
   EXPECT_EQ(cache_->invalidations(), 2u);
-  cache_->InvalidateAll();
-  EXPECT_FALSE(cache_->Lookup("b", 0, {1.0}, 7, &response));
+  EstimateCache::InvalidateSite(cell_b_);
+  EXPECT_FALSE(Lookup(*cache_, "b", 0, {1.0}, 7, &response));
   EXPECT_EQ(cache_->invalidations(), 3u);
 }
 
@@ -391,11 +506,11 @@ TEST_F(EstimateCacheUnitTest, FeatureQuantizationSharesNearbyKeys) {
   config.feature_quantum = 0.01;
   EstimateCache cache(config);
   ASSERT_TRUE(tracker_->ProbeOnce());
-  cache.Insert("a", 0, {1.000}, 7, Context(0.0, 1.0), OkResponse(6.0));
+  Insert(cache, "a", 0, {1.000}, 7, Context(0.0, 1.0), OkResponse(6.0));
 
   EstimateResponse response;
-  EXPECT_TRUE(cache.Lookup("a", 0, {1.002}, 7, &response));  // same grid cell
-  EXPECT_FALSE(cache.Lookup("a", 0, {1.02}, 7, &response));  // different cell
+  EXPECT_TRUE(Lookup(cache, "a", 0, {1.002}, 7, &response));  // same grid cell
+  EXPECT_FALSE(Lookup(cache, "a", 0, {1.02}, 7, &response));  // different cell
 }
 
 // Concurrent hammer: estimate threads against state flips, model re-
