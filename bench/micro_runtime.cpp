@@ -1,6 +1,6 @@
 // Throughput / latency microbench for the online estimation service
 // (src/runtime): how fast can concurrent planner threads price queries
-// against the snapshot catalog + cached contention states?
+// against the catalog snapshot + cached contention states?
 //
 // Scenarios (fresh service each, same request workload):
 //   single  x1   — one thread, one Estimate() call per request
@@ -18,7 +18,7 @@
 //   termwalk x1  — raw-model hot loop through the retired per-term walk
 //                  (CostModel::EstimateTermWalk), no service or cache
 //   compiled x1  — the same raw-model hot loop through the compiled
-//                  per-state table (CostModel::EstimateFast); the derived
+//                  per-state table (CostModel::Estimate); the derived
 //                  compiled_hot_loop_speedup_x is compiled / termwalk
 //   degraded x1  — one thread, Estimate() against sites whose probe circuit
 //                  breakers are open: every response is priced from the last
@@ -431,13 +431,13 @@ Result RunRawBestOf(const core::CostModel& model, const RawWorkload& workload,
   for (size_t rep = 0; rep < reps; ++rep) {
     for (size_t i = 0; i < n / 8; ++i) {  // warmup
       const size_t k = i % set;
-      sink += model.EstimateFast(workload.features[k], workload.probes[k]);
+      sink += model.Estimate(workload.features[k], workload.probes[k]);
     }
     const auto started = Clock::now();
     if (compiled) {
       for (size_t i = 0; i < n; ++i) {
         const size_t k = i % set;
-        sink += model.EstimateFast(workload.features[k], workload.probes[k]);
+        sink += model.Estimate(workload.features[k], workload.probes[k]);
       }
     } else {
       for (size_t i = 0; i < n; ++i) {

@@ -35,13 +35,6 @@ const CompiledEquations* GlobalCatalog::FindCompiled(
   return model == nullptr ? nullptr : &model->compiled();
 }
 
-std::optional<CostModel> GlobalCatalog::FindCopy(const std::string& site,
-                                                 QueryClassId class_id) const {
-  const CostModel* model = Find(site, class_id);
-  if (model == nullptr) return std::nullopt;
-  return *model;
-}
-
 std::vector<std::pair<std::string, QueryClassId>> GlobalCatalog::Entries()
     const {
   std::vector<std::pair<std::string, QueryClassId>> out;

@@ -6,7 +6,6 @@
 #define MSCM_CORE_CATALOG_H_
 
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,10 +22,10 @@ class GlobalCatalog {
   // for the same (site, class) key, so raw pointers obtained from Find() for
   // that key dangle afterwards. Pointers for *other* keys stay valid
   // (std::map nodes are stable), but the safe contract is: do not hold a
-  // Find() pointer across any Register() call. Callers that must outlive
-  // writes should use FindCopy(), or hold the catalog inside
-  // runtime::SnapshotCatalog, whose immutable snapshots make Find() pointers
-  // valid for the snapshot's whole lifetime.
+  // Find() pointer across any Register() call. Concurrent callers edit a
+  // private copy and publish it as an immutable snapshot (the runtime's
+  // EstimationService does), so Find() pointers into a snapshot stay valid
+  // for as long as the snapshot is held.
   void Register(const std::string& site, CostModel model);
 
   // Removes every model registered for `site` (all query classes). Returns
@@ -47,27 +46,13 @@ class GlobalCatalog {
   const CompiledEquations* FindCompiled(const std::string& site,
                                         QueryClassId class_id) const;
 
-  // Value-returning lookup: a copy that cannot dangle, at the price of
-  // copying the model (a few hundred doubles). Preferred by concurrent
-  // callers that cannot pin a snapshot.
-  std::optional<CostModel> FindCopy(const std::string& site,
-                                    QueryClassId class_id) const;
-
   std::vector<std::pair<std::string, QueryClassId>> Entries() const;
 
   size_t size() const { return models_.size(); }
 
-  // Stable epoch of this catalog's contents. The catalog itself never changes
-  // it; a publisher (runtime::SnapshotCatalog) stamps each published snapshot
-  // with its version number so downstream caches can key on "which catalog
-  // priced this" without holding the snapshot pointer. 0 = never stamped.
-  uint64_t revision() const { return revision_; }
-  void set_revision(uint64_t revision) { revision_ = revision; }
-
  private:
   using Key = std::pair<std::string, int>;
   std::map<Key, CostModel> models_;
-  uint64_t revision_ = 0;
 };
 
 }  // namespace mscm::core

@@ -18,8 +18,8 @@
 // tags: one state lookup, one width check, then a raw dot product over
 // num_selected + 1 doubles.
 //
-// Evaluation is bit-for-bit identical to CostModel::Estimate (the
-// derivation-side reference that rebuilds a design row per call): within a
+// Evaluation is bit-for-bit identical to CostModel::EstimateTermWalk (the
+// derivation-side reference that walks the design terms per call): within a
 // state, active design columns appear in intercept-then-variables order,
 // and skipping a column whose row entry is zero cannot change an IEEE sum.
 // tests/compiled_equations_test.cc holds the differential property test.
@@ -111,7 +111,7 @@ class CompiledEquations {
   }
 
   // Full serving evaluation: width check, state lookup, dot product,
-  // negative clamp. Matches CostModel::Estimate bit for bit.
+  // negative clamp. Matches CostModel::EstimateTermWalk bit for bit.
   double Evaluate(const std::vector<double>& features,
                   double probing_cost) const {
     CheckFeatureWidth(features);

@@ -7,29 +7,22 @@
 
 namespace mscm::core {
 
-double CostModel::Estimate(const std::vector<double>& features,
-                           double probing_cost) const {
+double CostModel::EstimateTermWalk(const std::vector<double>& features,
+                                   double probing_cost) const {
   const int state = states_.StateOf(probing_cost);
   // An adapted state's equation lives in the adaptation overlay, not the
-  // base fit. Evaluate its row with exactly EvaluateInState's accumulation
-  // order so the reference path stays bit-identical to the compiled path.
+  // base fit's design terms.
   const auto it = adaptation_.states.find(state);
   if (it != adaptation_.states.end()) {
     const std::vector<double>& row = it->second.row;
     double y = row[0];
     for (size_t j = 0; j < selected_.size(); ++j) {
-      y += row[j + 1] * features[static_cast<size_t>(selected_[j])];
+      const size_t idx = static_cast<size_t>(selected_[j]);
+      MSCM_CHECK(idx < features.size());
+      y += row[j + 1] * features[idx];
     }
     return std::max(0.0, y);
   }
-  const std::vector<double> row =
-      layout_.Row(SelectValues(features, selected_), state);
-  return std::max(0.0, fit_.Predict(row));
-}
-
-double CostModel::EstimateTermWalk(const std::vector<double>& features,
-                                   double probing_cost) const {
-  const int state = states_.StateOf(probing_cost);
   const std::vector<DesignTerm>& terms = layout_.terms();
   double y = 0.0;
   for (size_t c = 0; c < terms.size(); ++c) {
@@ -56,21 +49,23 @@ std::optional<CostModel::Interval> CostModel::EstimateWithInterval(
       static_cast<double>(fit_.n) - static_cast<double>(fit_.p);
   if (fit_.xtx_inverse.empty() || dof <= 0.0) return std::nullopt;
 
+  // The half-width comes from the base fit's covariance structure (RLS
+  // adaptation moves only the point equations); the centre is the row that
+  // is actually served.
   const int state = states_.StateOf(probing_cost);
   const std::vector<double> row =
       layout_.Row(SelectValues(features, selected_), state);
   Interval out;
-  out.estimate = std::max(0.0, fit_.Predict(row));
+  out.estimate = Estimate(features, probing_cost);
   const double se = fit_.PredictionStandardError(row);
   if (se <= 0.0) {
     // A perfect in-process fit: the interval legitimately collapses.
     out.low = out.high = out.estimate;
     return out;
   }
-  const double t = stats::StudentTUpperQuantile(alpha / 2.0, dof);
-  const double center = fit_.Predict(row);
-  out.low = std::max(0.0, center - t * se);
-  out.high = std::max(0.0, center + t * se);
+  const double half = stats::StudentTUpperQuantile(alpha / 2.0, dof) * se;
+  out.low = std::max(0.0, out.estimate - half);
+  out.high = out.estimate + half;
   return out;
 }
 

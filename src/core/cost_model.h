@@ -80,23 +80,20 @@ class CostModel {
                                  adaptation_)) {}
 
   // Estimated cost (seconds) for a query with the given feature vector when
-  // the probing query currently costs `probing_cost`. Negative estimates are
-  // clamped to zero (a regression plane can dip below zero near the origin).
+  // the probing query currently costs `probing_cost`, served from the
+  // compiled per-state table: no per-call allocations, no term walk.
+  // Negative estimates are clamped to zero (a regression plane can dip below
+  // zero near the origin). The online runtime's estimate hot path
+  // (runtime::EstimationService) evaluates the same table directly.
   double Estimate(const std::vector<double>& features,
-                  double probing_cost) const;
-
-  // Identical result to Estimate() — bit for bit — served from the compiled
-  // per-state table: no per-call allocations, no term walk. The online
-  // runtime's estimate hot path (runtime::EstimationService) runs millions
-  // of these per second.
-  double EstimateFast(const std::vector<double>& features,
-                      double probing_cost) const {
+                  double probing_cost) const {
     return compiled_.Evaluate(features, probing_cost);
   }
 
-  // The retired serving path, kept only as a differential-test reference and
-  // the compiled-vs-term-walk bench baseline: walks every DesignLayout term,
-  // branching on its state tag and bounds-checking per term. Do not serve
+  // The reference evaluator, kept only for differential tests and the
+  // compiled-vs-term-walk bench baseline: walks every DesignLayout term,
+  // branching on its state tag and bounds-checking per term, or evaluates an
+  // adapted state's overlay row. Bit-identical to Estimate(). Do not serve
   // estimates through this.
   double EstimateTermWalk(const std::vector<double>& features,
                           double probing_cost) const;
@@ -109,25 +106,17 @@ class CostModel {
 
   // Point estimate plus a (1 - alpha) prediction interval for a *new* query
   // observation — lets the optimizer reason about estimation risk, not just
-  // the point value. Requires the fit's covariance structure ((X'X)^{-1}):
-  // model_io persists it (the `xtxinv` record line), so round-tripped models
-  // keep their intervals; only records written before that line existed —
-  // or fits with no residual degrees of freedom — get nullopt, never a
-  // silently degenerate interval.
+  // the point value. Centred on the served estimate (the compiled state row,
+  // adapted or not), so at alpha = 0.05 it agrees with
+  // compiled().EvaluateDistribution(features, probing_cost, 0.0). Requires
+  // the fit's covariance structure ((X'X)^{-1}): model_io persists it (the
+  // `xtxinv` record line), so round-tripped models keep their intervals;
+  // only records written before that line existed — or fits with no
+  // residual degrees of freedom — get nullopt, never a silently degenerate
+  // interval.
   std::optional<Interval> EstimateWithInterval(
       const std::vector<double>& features, double probing_cost,
       double alpha = 0.05) const;
-
-  // The served cost distribution (soft state membership near partition
-  // boundaries + per-state 95% prediction intervals), from the compiled
-  // table — see CompiledEquations::EvaluateDistribution. The caller stamps
-  // stale/degraded from its probe reading.
-  CostDistribution EstimateDistribution(const std::vector<double>& features,
-                                        double probing_cost,
-                                        double band_fraction = 0.1) const {
-    return compiled_.EvaluateDistribution(features, probing_cost,
-                                          band_fraction);
-  }
 
   // Adjusted coefficient of `variable` (-1 = intercept) in `state` —
   // the b'_{ij} the merging test of Algorithm 3.1 compares.

@@ -65,7 +65,7 @@ class ManagedCostModel {
   // Serving path: evaluates the model's compiled per-state equation table.
   double Estimate(const std::vector<double>& features,
                   double probing_cost) const {
-    return model_.EstimateFast(features, probing_cost);
+    return model_.Estimate(features, probing_cost);
   }
 
   // Feeds back the observed cost for an earlier estimate.

@@ -173,10 +173,6 @@ bool ContentionTracker::ProbeOnce() {
 
   breaker_.RecordSuccess();
   probes_.fetch_add(1, std::memory_order_relaxed);
-  StateChangeFn callback;
-  int old_state = -1;
-  int new_state = -1;
-  bool changed = false;
   {
     std::lock_guard<std::mutex> lock(cell_->mutex);
     SiteCell& cell = *cell_;
@@ -188,8 +184,8 @@ bool ContentionTracker::ProbeOnce() {
       // as fresh). A replaced tracker's late probe lands here too.
       discarded_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      old_state = first ? -1 : cell.state.load(std::memory_order_relaxed);
-      new_state = mapper_ ? mapper_(cost) : -1;
+      const int old_state = cell.state.load(std::memory_order_relaxed);
+      const int new_state = mapper_ ? mapper_(cost) : -1;
       // Cost is published before the version moves: a lock-free validator
       // that sees the old version paired with the new cost falls back to its
       // bounds check, which rejects exactly the entries this transition
@@ -197,16 +193,11 @@ bool ContentionTracker::ProbeOnce() {
       PublishLocked(true, cost, new_state, sequence,
                     config_.clock->Now().time_since_epoch().count());
       cell.stale_mark.store(sequence << 1, std::memory_order_release);
-      changed = first || new_state != old_state;
-      if (changed) {
+      if (first || new_state != old_state) {
         cell.state_version.fetch_add(1, std::memory_order_release);
-        callback = state_change_;
       }
     }
   }
-  // Outside the lock: the callback typically fans out into cache shards and
-  // must not nest under the tracker mutex.
-  if (changed && callback) callback(old_state, new_state);
   // A successful half-open trial closes the breaker: publish the flip.
   NotifyDegradedTransition(was_degraded);
   return true;
@@ -214,19 +205,10 @@ bool ContentionTracker::ProbeOnce() {
 
 void ContentionTracker::NotifyDegradedTransition(bool was_degraded) {
   if (breaker_.degraded() == was_degraded) return;
-  StateChangeFn callback;
-  int state = -1;
-  {
-    std::lock_guard<std::mutex> lock(cell_->mutex);
-    // Responses cached before the flip embed the old degraded flag; bumping
-    // the version retires them even though the state itself did not move.
-    cell_->state_version.fetch_add(1, std::memory_order_release);
-    callback = state_change_;
-    if (cell_->has_value.load(std::memory_order_relaxed)) {
-      state = cell_->state.load(std::memory_order_relaxed);
-    }
-  }
-  if (callback) callback(state, state);
+  // Responses cached before the flip embed the old degraded flag; bumping
+  // the version retires them even though the state itself did not move.
+  std::lock_guard<std::mutex> lock(cell_->mutex);
+  cell_->state_version.fetch_add(1, std::memory_order_release);
 }
 
 void ContentionTracker::PublishLocked(bool has_value, double cost, int state,
@@ -291,28 +273,20 @@ ProbeReading ContentionTracker::ReadAt(Clock::TimePoint now) const {
 }
 
 void ContentionTracker::SetStateMapper(std::function<int(double)> mapper) {
-  StateChangeFn callback;
-  int old_state = -1;
-  int new_state = -1;
-  {
-    std::lock_guard<std::mutex> lock(cell_->mutex);
-    SiteCell& cell = *cell_;
-    mapper_ = std::move(mapper);
-    if (cell.owner == this && cell.has_value.load(std::memory_order_relaxed)) {
-      const double cost =
-          std::bit_cast<double>(cell.cost_bits.load(std::memory_order_relaxed));
-      old_state = cell.state.load(std::memory_order_relaxed);
-      new_state = mapper_ ? mapper_(cost) : -1;
-      if (new_state != old_state) {
-        PublishLocked(true, cost, new_state,
-                      cell.sequence.load(std::memory_order_relaxed),
-                      cell.reading_at_ns.load(std::memory_order_relaxed));
-        cell.state_version.fetch_add(1, std::memory_order_release);
-        callback = state_change_;
-      }
-    }
+  std::lock_guard<std::mutex> lock(cell_->mutex);
+  SiteCell& cell = *cell_;
+  mapper_ = std::move(mapper);
+  if (cell.owner != this || !cell.has_value.load(std::memory_order_relaxed)) {
+    return;
   }
-  if (callback) callback(old_state, new_state);
+  const double cost =
+      std::bit_cast<double>(cell.cost_bits.load(std::memory_order_relaxed));
+  const int new_state = mapper_ ? mapper_(cost) : -1;
+  if (new_state == cell.state.load(std::memory_order_relaxed)) return;
+  PublishLocked(true, cost, new_state,
+                cell.sequence.load(std::memory_order_relaxed),
+                cell.reading_at_ns.load(std::memory_order_relaxed));
+  cell.state_version.fetch_add(1, std::memory_order_release);
 }
 
 void ContentionTracker::SetStateBoundaries(std::vector<double> boundaries) {
@@ -340,11 +314,6 @@ bool ContentionTracker::BoundaryDistance(double* distance,
   if (distance != nullptr) *distance = best;
   if (boundary != nullptr) *boundary = best_boundary;
   return true;
-}
-
-void ContentionTracker::SetStateChangeCallback(StateChangeFn callback) {
-  std::lock_guard<std::mutex> lock(cell_->mutex);
-  state_change_ = std::move(callback);
 }
 
 std::chrono::nanoseconds ContentionTracker::AdaptInterval(

@@ -199,13 +199,6 @@ class ContentionTracker {
   // estimates are least trustworthy.
   bool BoundaryDistance(double* distance, double* boundary) const;
 
-  // Invoked (outside the tracker's internal locks) whenever a probe or remap
-  // publishes a different state than the previous reading's. old_state is -1
-  // for the first reading. Used by the estimation service to drop cached
-  // estimates for this site the moment its contention state transitions.
-  using StateChangeFn = std::function<void(int old_state, int new_state)>;
-  void SetStateChangeCallback(StateChangeFn callback);
-
   // Monotone version of the published (state, staleness, degraded) triple:
   // bumped when a probe or remap changes the mapped state, when the reading
   // crosses the TTL, when the circuit breaker moves across the closed
@@ -283,7 +276,7 @@ class ContentionTracker {
   // returned (an unvalidated) *cost in time.
   bool RunProbe(double* cost);
 
-  // Publishes a degraded-flag flip (version bump + state-change callback)
+  // Publishes a degraded-flag flip (a state-version bump)
   // when the breaker moved across the closed boundary.
   void NotifyDegradedTransition(bool was_degraded);
 
@@ -300,7 +293,6 @@ class ContentionTracker {
   // Guarded by cell_->mutex, which serializes every writer of the cell.
   std::function<int(double)> mapper_;
   std::vector<double> boundaries_;  // state partition, ascending
-  StateChangeFn state_change_;
 
   std::atomic<int64_t> current_interval_ns_;
 

@@ -1,10 +1,11 @@
 // Epoch-based reclamation for the estimate hot path: readers publish an
 // epoch into a per-thread slot and then dereference raw pointers; writers
 // swap the pointer, bump the global epoch, and retire the old object until
-// every in-flight reader has moved past it. A cached or single estimate
-// therefore pins the catalog / tracker-map / stale-set snapshots with two
-// plain seq_cst *stores* to its own slot — zero shared atomic RMWs — where
-// the shared_ptr path paid two refcount RMWs per snapshot per request.
+// every in-flight reader has moved past it. An uncached estimate therefore
+// pins the service's read view (catalog snapshot, serving forms, trackers)
+// with two plain seq_cst *stores* to its own slot — zero shared atomic RMWs
+// — where the shared_ptr path paid two refcount RMWs per snapshot per
+// request.
 //
 // Protocol (all seq_cst, deliberately: the reader-publish / writer-scan
 // pair is a Dekker-style flag handshake, and seq_cst keeps it both correct
@@ -32,7 +33,7 @@
 //
 // Retired objects are kept alive by type-erased shared_ptr keepalives, so
 // the domain composes with every snapshot the runtime publishes as
-// shared_ptr (catalog, service read view, refresh key map): cold readers
+// shared_ptr (the service read view, the refresh key map): cold readers
 // copy the shared_ptr under a mutex (EpochPublished::load()), hot readers
 // use the raw epoch read, and the object dies only when both the keepalive
 // chain and the grace period agree.

@@ -69,8 +69,7 @@ const char* ToString(EstimateStatus s) {
 EstimationService::EstimationService(EstimationServiceConfig config)
     : config_(config),
       cache_(config.cache),
-      view_(std::make_shared<const ReadView>(
-          ReadView{catalog_.snapshot(), {}, {}})),
+      view_(std::make_shared<const ReadView>()),
       instance_id_(
           next_service_instance_id.fetch_add(1, std::memory_order_relaxed)),
       pool_(config.worker_threads) {}
@@ -91,6 +90,13 @@ EstimationService::EditViewLocked() const {
   return std::make_shared<ReadView>(*view_.load());
 }
 
+core::GlobalCatalog& EstimationService::EditCatalog(ReadView& view) {
+  auto copy = std::make_shared<core::GlobalCatalog>(*view.catalog);
+  core::GlobalCatalog& catalog = *copy;
+  view.catalog = std::move(copy);
+  return catalog;
+}
+
 EstimationService::SiteEntry& EstimationService::SiteLocked(
     ReadView& view, const std::string& site) {
   const auto [it, inserted] =
@@ -105,13 +111,16 @@ EstimationService::SiteEntry& EstimationService::SiteLocked(
 }
 
 void EstimationService::PublishViewLocked(std::shared_ptr<ReadView> view) {
-  view->catalog = catalog_.snapshot();
   for (SiteEntry& entry : view->sites) {
     for (size_t c = 0; c < kNumClasses; ++c) {
       entry.equations[c] = view->catalog->FindCompiled(
           entry.name, static_cast<core::QueryClassId>(c));
     }
   }
+  // The revision goes out before the view: a thread that prices a miss under
+  // the new view then validates its later hits against the new revision, so
+  // it can never be answered from an older catalog afterwards.
+  revision_.store(view->revision, std::memory_order_relaxed);
   view_.Publish(std::move(view));
 }
 
@@ -146,12 +155,13 @@ bool EstimationService::RegisterModelIfActive(const std::string& site,
 void EstimationService::RegisterModelLocked(
     const std::string& site, core::CostModel model,
     const core::ContentionStates& states, core::QueryClassId class_id) {
-  catalog_.Register(site, std::move(model));
+  auto view = EditViewLocked();
+  EditCatalog(*view).Register(site, std::move(model));
+  ++view->revision;
   {
     auto& shard = counters_.Local();
     shard.Add(shard.catalog_swaps);
   }
-  auto view = EditViewLocked();
   SiteEntry& entry = SiteLocked(*view, site);
   entry.newest_class = static_cast<int>(class_id);
   // A freshly registered model is by definition not stale.
@@ -180,22 +190,23 @@ bool EstimationService::ApplyAdaptedModel(const std::string& site,
   // If a full re-derivation (generation reset to 0) or another adaptation
   // landed since, publishing this one would silently roll the model back.
   {
-    const auto snapshot = catalog_.snapshot();
-    const core::CostModel* current = snapshot->Find(site, class_id);
+    const auto published = view_.load();
+    const core::CostModel* current = published->catalog->Find(site, class_id);
     if (current == nullptr ||
         current->generation() != expected_generation) {
       return false;
     }
   }
-  catalog_.UpdatePreservingRevision(
-      [&site, &model](core::GlobalCatalog& catalog) {
-        catalog.Register(site, std::move(model));
-      });
+  // Published under the current revision: every row except the swapped
+  // states' is bit-identical, so surviving cache entries stay value-correct,
+  // and the swapped states' entries are invalidated at (site, state) grain
+  // below. Only an edit with that property may skip the revision bump.
+  auto view = EditViewLocked();
+  EditCatalog(*view).Register(site, std::move(model));
   {
     auto& shard = counters_.Local();
     shard.Add(shard.adaptations_applied);
   }
-  auto view = EditViewLocked();
   SiteCell& cell = *SiteLocked(*view, site).cell;
   PublishViewLocked(std::move(view));
   // Only the swapped states' rows changed; every other state's cached
@@ -237,8 +248,7 @@ void EstimationService::RegisterSite(const std::string& site,
   // rather than registration order. RegisterModel holds the same mutex, so
   // no registration can land in between.
   if (entry.newest_class >= 0) {
-    const auto snapshot = catalog_.snapshot();
-    if (const core::CostModel* model = snapshot->Find(
+    if (const core::CostModel* model = view->catalog->Find(
             site, static_cast<core::QueryClassId>(entry.newest_class))) {
       const core::ContentionStates states = model->states();
       tracker->SetStateMapper(
@@ -287,17 +297,17 @@ void EstimationService::UnregisterSite(const std::string& site) {
   const SiteEntry* current = published->Find(site);
   if (current == nullptr) return;
 
-  // Drop every (site, class) model. The snapshot swap bumps the catalog
-  // revision, so cached responses priced under the old catalog can never
-  // revalidate — the eager InvalidateSite below just reclaims the slots
-  // sooner.
+  // Drop every (site, class) model. The catalog swap bumps the revision,
+  // so cached responses priced under the old catalog can never revalidate —
+  // the eager InvalidateSite below just reclaims the slots sooner.
+  auto view = EditViewLocked();
   bool had_models = false;
   for (const core::CompiledEquations* equations : current->equations) {
     had_models = had_models || equations != nullptr;
   }
   if (had_models) {
-    catalog_.Update(
-        [&site](core::GlobalCatalog& catalog) { catalog.Unregister(site); });
+    EditCatalog(*view).Unregister(site);
+    ++view->revision;
     auto& shard = counters_.Local();
     shard.Add(shard.catalog_swaps);
   }
@@ -307,7 +317,6 @@ void EstimationService::UnregisterSite(const std::string& site) {
   // pinned. Clearing the stale-model flags keeps the stale_models gauge
   // from leaking retired keys (a racing SetModelStale for the site after
   // this point is rejected by its no-model guard).
-  auto view = EditViewLocked();
   SiteEntry& entry = SiteLocked(*view, site);
   SiteCell& cell = *entry.cell;
   const std::shared_ptr<ContentionTracker> retired =
@@ -634,7 +643,8 @@ EstimateResponse EstimationService::Estimate(
                        request.features);
     EstimateResponse response;
     if (cache_.Lookup(hash, request.site, static_cast<int>(request.class_id),
-                      request.features, catalog_.version(), &response)) {
+                      request.features,
+                      revision_.load(std::memory_order_relaxed), &response)) {
       auto& shard = counters_.Local();
       shard.Add(shard.estimate_cache_hits);
       if (armed) {
@@ -663,8 +673,7 @@ EstimateResponse EstimationService::Estimate(
   EstimateResponse response = Price(read, request, counts);
   if (try_cache) {
     ++counts.estimate_cache_misses;
-    MaybeCacheResponse(view.catalog->revision(), hash, read, request,
-                       response);
+    MaybeCacheResponse(view.revision, hash, read, request, response);
   }
   FlushCounts(counts);
   estimate_latency_.Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -692,7 +701,7 @@ void EstimationService::PriceBatch(
   EpochGuard guard;
   const ReadView& view = *view_.Read(guard);
   const bool use_cache = cache_.enabled();
-  const uint64_t epoch = view.catalog->revision();
+  const uint64_t epoch = view.revision;
 
   // Each request's site goes into a small flat array of distinct-site
   // reads: one name lookup per run of same-site requests and one cell read

@@ -4,11 +4,12 @@
 //
 // Many client threads ask "what would a query of class C with feature
 // vector x cost at site S right now?". The service answers from
-//   (1) an immutable-snapshot catalog of derived cost models (readers never
-//       lock; model registration copy-on-writes a new snapshot) — estimates
-//       evaluate each model's compiled per-state equation table
-//       (core::CompiledEquations via GlobalCatalog::FindCompiled), never
-//       the derivation-side DesignLayout — and
+//   (1) one epoch-published read view holding an immutable catalog
+//       snapshot of derived cost models (readers never lock; a control-plane
+//       change copy-on-writes the catalog into a new view and publishes it
+//       once) — estimates evaluate each model's compiled per-state equation
+//       table (core::CompiledEquations via GlobalCatalog::FindCompiled),
+//       never the derivation-side DesignLayout — and
 //   (2) per-site ContentionTrackers whose background probers keep a cached
 //       (contention state, probing cost) per site, so no probing query runs
 //       on the estimation path.
@@ -40,7 +41,6 @@
 #include "runtime/estimate_cache.h"
 #include "runtime/estimate_types.h"
 #include "runtime/runtime_stats.h"
-#include "runtime/snapshot_catalog.h"
 #include "runtime/thread_pool.h"
 
 namespace mscm::mdbs {
@@ -235,10 +235,12 @@ class EstimationService {
 
   RuntimeStatsSnapshot Stats() const;
 
-  // The current catalog snapshot (Find() pointers valid while it is held).
-  SnapshotCatalog::Snapshot CatalogSnapshot() const {
-    return catalog_.snapshot();
-  }
+  // An immutable catalog snapshot: Find() pointers stay valid while it is
+  // held, however many registrations land meanwhile.
+  using Snapshot = std::shared_ptr<const core::GlobalCatalog>;
+
+  // The current catalog snapshot. Never null.
+  Snapshot CatalogSnapshot() const { return view_.load()->catalog; }
 
   size_t num_worker_threads() const { return pool_.num_threads(); }
 
@@ -272,9 +274,15 @@ class EstimationService {
   // The flat read view of the control plane, indexed by SiteId. Rebuilt and
   // epoch-published under control_mutex_ by every control-plane change; the
   // estimate paths read it raw under an EpochGuard (zero shared RMWs), cold
-  // callers through the shared_ptr load.
+  // callers through the shared_ptr load. The catalog is copy-on-write: an
+  // edit copies it into the view being built, so a published view's catalog
+  // never changes.
   struct ReadView {
-    SnapshotCatalog::Snapshot catalog;  // pins every `equations` pointer
+    // Pins every `equations` pointer. Never null.
+    Snapshot catalog = std::make_shared<const core::GlobalCatalog>();
+    // The estimate cache's epoch: bumped by every catalog edit except an
+    // adaptation row swap (see ApplyAdaptedModel).
+    uint64_t revision = 0;
     std::unordered_map<std::string, SiteId> ids;
     std::vector<SiteEntry> sites;
 
@@ -356,11 +364,14 @@ class EstimationService {
                   const core::CompiledEquations** equations) const;
 
   // Control-plane view editing; callers hold control_mutex_. EditViewLocked
-  // copies the published view; SiteLocked returns the copy's entry for
+  // copies the published view; EditCatalog swaps a private copy of the
+  // copy's catalog in and returns it for editing (the caller decides whether
+  // the edit bumps the revision); SiteLocked returns the copy's entry for
   // `site`, assigning its id and cell on first sight; PublishViewLocked
-  // re-resolves every entry's equations against the current catalog and
-  // publishes the copy.
+  // re-resolves every entry's equations against the copy's catalog and
+  // publishes its revision, then the copy.
   std::shared_ptr<ReadView> EditViewLocked() const;
+  static core::GlobalCatalog& EditCatalog(ReadView& view);
   SiteEntry& SiteLocked(ReadView& view, const std::string& site);
   void PublishViewLocked(std::shared_ptr<ReadView> view);
 
@@ -371,7 +382,6 @@ class EstimationService {
                            core::QueryClassId class_id);
 
   const EstimationServiceConfig config_;
-  SnapshotCatalog catalog_;
   mutable EstimateCache cache_;
 
   // Serializes the control plane: model registration, site registration and
@@ -383,6 +393,10 @@ class EstimationService {
   // trackers point at them (control_mutex_ guards the vector, not the cells).
   std::vector<std::unique_ptr<SiteCell>> cells_;
   EpochPublished<ReadView> view_;
+  // The revision of the view being published, stored just before it: the
+  // cache hit path validates entries against it with one relaxed load,
+  // without pinning the view.
+  std::atomic<uint64_t> revision_{0};
 
   // Terminal counter totals of trackers that were replaced (RegisterSite)
   // or retired (UnregisterSite). Stats() adds these to the live trackers'

@@ -25,7 +25,7 @@
 // A refresh re-samples through the key's ObservationSource and re-derives
 // via core::RederiveModel on the service's worker pool, warm-starting from
 // the feedback observations already collected. On success the new model is
-// published through the service's snapshot catalog (one atomic swap; the
+// published through the service's read view (one publication; the
 // tracker's state mapper is rewired in the same control-plane critical
 // section). On failure the old model keeps serving — flagged `stale_model`
 // in responses and Stats() — and retries back off exponentially: attempt n

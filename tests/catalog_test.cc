@@ -44,24 +44,6 @@ TEST(CatalogTest, ReplaceOverwrites) {
   EXPECT_NEAR(m->Estimate(features, 0.5), 10.0, 0.01);
 }
 
-TEST(CatalogTest, FindCopyOutlivesReplacement) {
-  GlobalCatalog catalog;
-  catalog.Register("s", MakeModel(QueryClassId::kUnarySeqScan, 2.0));
-  const std::optional<CostModel> copy =
-      catalog.FindCopy("s", QueryClassId::kUnarySeqScan);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_FALSE(
-      catalog.FindCopy("s", QueryClassId::kJoinNoIndex).has_value());
-
-  // Replacing the model invalidates Find() pointers for the key, but the
-  // copy keeps the old coefficients.
-  catalog.Register("s", MakeModel(QueryClassId::kUnarySeqScan, 5.0));
-  std::vector<double> features(
-      VariableSet::ForClass(QueryClassId::kUnarySeqScan).size(), 0.0);
-  features[0] = 2.0;
-  EXPECT_NEAR(copy->Estimate(features, 0.5), 4.0, 0.01);
-}
-
 TEST(CatalogTest, MultipleSitesAndClasses) {
   GlobalCatalog catalog;
   catalog.Register("a", MakeModel(QueryClassId::kUnarySeqScan, 1.0));

@@ -1,12 +1,11 @@
 // Differential tests for the compiled serving representation: for models
 // over all four qualitative forms, CompiledEquations::Evaluate must agree
-// *bit for bit* with the derivation-side reference (CostModel::Estimate,
-// which rebuilds a design row per call), the retired per-term walk
-// (CostModel::EstimateTermWalk), and the delegating hot path
-// (CostModel::EstimateFast) — including the negative-clamp-to-zero edge and
-// probing costs exactly on state boundaries. Also pins the compile-time
-// remap contract: a short feature vector dies with a clear diagnostic
-// before the dot product runs, not mid-loop.
+// *bit for bit* with the per-term reference walk over the derivation-side
+// DesignLayout (CostModel::EstimateTermWalk), and so must the delegating
+// entry point (CostModel::Estimate) — including the negative-clamp-to-zero
+// edge and probing costs exactly on state boundaries. Also pins the
+// compile-time remap contract: a short feature vector dies with a clear
+// diagnostic before the dot product runs, not mid-loop.
 
 #include <bit>
 #include <cmath>
@@ -24,14 +23,12 @@ namespace {
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-// Asserts the four evaluators agree bit for bit at one point.
+// Asserts the evaluators agree bit for bit with the term walk at one point.
 void ExpectAllAgree(const CostModel& model, const std::vector<double>& features,
                     double probe) {
-  const double reference = model.Estimate(features, probe);
-  EXPECT_EQ(Bits(model.EstimateTermWalk(features, probe)), Bits(reference))
-      << "term walk diverged at probe " << probe;
-  EXPECT_EQ(Bits(model.EstimateFast(features, probe)), Bits(reference))
-      << "EstimateFast diverged at probe " << probe;
+  const double reference = model.EstimateTermWalk(features, probe);
+  EXPECT_EQ(Bits(model.Estimate(features, probe)), Bits(reference))
+      << "Estimate diverged at probe " << probe;
   EXPECT_EQ(Bits(model.compiled().Evaluate(features, probe)), Bits(reference))
       << "compiled table diverged at probe " << probe;
   EXPECT_EQ(model.compiled().StateOf(probe), model.states().StateOf(probe))
@@ -276,7 +273,7 @@ TEST(CompiledEquationsDeathTest, ShortFeatureVectorRejectedUpFront) {
   const std::vector<double> short_features = {1.0, 2.0};
   EXPECT_DEATH(model.compiled().Evaluate(short_features, 0.5),
                "selected-variable remap");
-  EXPECT_DEATH(model.EstimateFast(short_features, 0.5),
+  EXPECT_DEATH(model.Estimate(short_features, 0.5),
                "selected-variable remap");
 }
 

@@ -382,29 +382,6 @@ TEST(ContentionTrackerTest, ConcurrentReadersFoldOneTtlCrossingOnce) {
   EXPECT_EQ(tracker.state_version(), fresh_version + 1);
 }
 
-TEST(ContentionTrackerTest, StateChangeCallbackFiresOnTransitionsOnly) {
-  FakeClock clock;
-  std::atomic<double> cost{0.5};
-  ContentionTracker tracker(ManualConfig(&clock, seconds(5)),
-                            [&cost] { return cost.load(); });
-  tracker.SetStateMapper([](double c) { return c > 1.0 ? 1 : 0; });
-  std::vector<std::pair<int, int>> transitions;
-  tracker.SetStateChangeCallback([&transitions](int old_state, int new_state) {
-    transitions.emplace_back(old_state, new_state);
-  });
-
-  ASSERT_TRUE(tracker.ProbeOnce());  // first reading: -1 → 0
-  ASSERT_TRUE(tracker.ProbeOnce());  // same state: no callback
-  cost.store(1.5);
-  ASSERT_TRUE(tracker.ProbeOnce());  // flip: 0 → 1
-  tracker.SetStateMapper([](double c) { return c > 2.0 ? 1 : 0; });  // 1 → 0
-
-  ASSERT_EQ(transitions.size(), 3u);
-  EXPECT_EQ(transitions[0], std::make_pair(-1, 0));
-  EXPECT_EQ(transitions[1], std::make_pair(0, 1));
-  EXPECT_EQ(transitions[2], std::make_pair(1, 0));
-}
-
 // Regression: the failure check used to be `isnan(cost) || cost < 0`, which
 // let +inf through — bit-cast into the published cost it was then served as
 // a real probing cost (and mapped into the top contention state) forever.
@@ -560,13 +537,9 @@ TEST(ContentionTrackerTest, BreakerOpensSuppressesProbingAndRecovers) {
   std::atomic<bool> fail{false};
   ContentionTracker tracker(
       config, [&fail] { return fail.load() ? std::nan("") : 0.7; });
-  std::atomic<int> callbacks{0};
-  tracker.SetStateChangeCallback(
-      [&callbacks](int, int) { callbacks.fetch_add(1); });
 
   ASSERT_TRUE(tracker.ProbeOnce());  // healthy reading published
   const uint64_t healthy_version = tracker.state_version();
-  const int callbacks_after_first = callbacks.load();
 
   // Two consecutive failures open the breaker: the tracker is degraded, the
   // version moved (cached estimates must retire), the reading is kept.
@@ -577,7 +550,6 @@ TEST(ContentionTrackerTest, BreakerOpensSuppressesProbingAndRecovers) {
   EXPECT_TRUE(tracker.degraded());
   EXPECT_EQ(tracker.breaker().state(), CircuitBreaker::State::kOpen);
   EXPECT_GT(tracker.state_version(), healthy_version);
-  EXPECT_GT(callbacks.load(), callbacks_after_first);
   ProbeReading reading = tracker.Current();
   EXPECT_TRUE(reading.has_value);
   EXPECT_TRUE(reading.degraded);

@@ -48,7 +48,7 @@ TEST(CostModelTest, EstimateUsesProbingCostToPickState) {
 }
 
 TEST(CostModelTest, EstimateFastMatchesEstimateEverywhere) {
-  // The fused hot-path estimator must agree with the reference path across
+  // The compiled estimator must agree with the term-walk reference across
   // states, forms, and feature values — including the negative clamp.
   test::SyntheticGroundTruth truth;
   truth.intercepts = {-2.0, 10.0, 40.0};
@@ -65,8 +65,8 @@ TEST(CostModelTest, EstimateFastMatchesEstimateEverywhere) {
       for (double f0 : {0.0, 1.0, 123.456}) {
         for (double f1 : {-4.0, 0.5, 88.0}) {
           const std::vector<double> features = {f0, f1};
-          EXPECT_DOUBLE_EQ(model.EstimateFast(features, probe),
-                           model.Estimate(features, probe));
+          EXPECT_DOUBLE_EQ(model.Estimate(features, probe),
+                           model.EstimateTermWalk(features, probe));
         }
       }
     }
@@ -169,10 +169,11 @@ TEST(CostModelTest, ToStringShowsPerStateEquations) {
   EXPECT_NE(s.find("R^2"), std::string::npos);
 }
 
-CostModel TwoStateModel(Rng& rng) {
+CostModel TwoStateModel(Rng& rng, double noise_stddev = 0.0) {
   test::SyntheticGroundTruth truth;
   truth.intercepts = {1.0, 4.0};
   truth.slopes = {{0.5, 0.2}, {1.5, 0.6}};
+  truth.noise_stddev = noise_stddev;
   const ObservationSet obs = test::SyntheticObservations(truth, 200, rng);
   return FitCostModel(QueryClassId::kUnarySeqScan, obs, {0, 1},
                       ContentionStates::UniformPartition(0.0, 1.0, 2),
@@ -199,8 +200,8 @@ TEST(CostModelTest, ApplyFeedbackBumpsGenerationAndMovesOnlyThatState) {
   for (size_t j = 0; j < 3; ++j) EXPECT_EQ(row0_before[j], row0_after[j]);
 
   // The fed state's equation moved toward the reported actual.
-  const double before = base.EstimateFast(features, 0.9);
-  const double after = adapted->EstimateFast(features, 0.9);
+  const double before = base.Estimate(features, 0.9);
+  const double after = adapted->Estimate(features, 0.9);
   EXPECT_GT(after, before);
 }
 
@@ -224,8 +225,36 @@ TEST(CostModelTest, AdaptedEstimateMatchesEstimateFastBitExact) {
     const std::vector<double> features = {rng.Uniform(0, 12),
                                           rng.Uniform(0, 12)};
     const double probe = rng.NextDouble();
-    EXPECT_EQ(model.Estimate(features, probe),
-              model.EstimateFast(features, probe));
+    EXPECT_EQ(model.EstimateTermWalk(features, probe),
+              model.Estimate(features, probe));
+  }
+}
+
+// The interval is centred on the row actually served: on an adapted state
+// that is the RLS overlay row, not the base fit's design row. It agrees with
+// the served distribution at band 0 whether the fit's interval collapses
+// (noise-free) or not.
+TEST(CostModelTest, IntervalCentresOnAdaptedRow) {
+  for (const double noise : {0.0, 0.5}) {
+    Rng rng(24);
+    const CostModel base = TwoStateModel(rng, noise);
+    const std::vector<double> features = {3.0, 4.0};
+    const auto adapted = base.ApplyFeedback(/*state=*/1, features,
+                                            /*actual=*/100.0);
+    ASSERT_TRUE(adapted.has_value());
+    for (const double probe : {0.2, 0.9}) {
+      const auto interval = adapted->EstimateWithInterval(features, probe);
+      ASSERT_TRUE(interval.has_value());
+      EXPECT_EQ(interval->estimate, adapted->Estimate(features, probe))
+          << "noise " << noise << " probe " << probe;
+      EXPECT_LE(interval->low, interval->estimate);
+      EXPECT_GE(interval->high, interval->estimate);
+      const CostDistribution d =
+          adapted->compiled().EvaluateDistribution(features, probe, 0.0);
+      EXPECT_EQ(d.mean, interval->estimate);
+      EXPECT_NEAR(d.low, interval->low, 1e-6 * (1.0 + interval->high));
+      EXPECT_NEAR(d.high, interval->high, 1e-6 * (1.0 + interval->high));
+    }
   }
 }
 

@@ -141,8 +141,8 @@ TEST(EstimateCacheServiceTest, StateTransitionInvalidatesAndRepricesExactly) {
               1e-6);  // cached
   ASSERT_GE(service.Stats().estimate_cache_hits, 1u);
 
-  // The environment shifts across the partition boundary: the tracker's
-  // state-change callback must evict the site's entries, and the next
+  // The environment shifts across the partition boundary: the site's state
+  // version moves, retiring the site's entries, and the next
   // estimate must price under state 1 — not serve the state-0 memo.
   probe_value.store(1.5);
   ASSERT_TRUE(service.ProbeNow("a"));

@@ -126,9 +126,9 @@ TEST(ModelIoTest, RoundTripPreservesPredictionIntervals) {
     EXPECT_NEAR(got->high, want->high, 1e-9 * (1.0 + want->high));
     // The served distribution path reads the same persisted structure.
     const CostDistribution d_want =
-        original.EstimateDistribution(features, probe);
+        original.compiled().EvaluateDistribution(features, probe, 0.1);
     const CostDistribution d_got =
-        restored->EstimateDistribution(features, probe);
+        restored->compiled().EvaluateDistribution(features, probe, 0.1);
     EXPECT_TRUE(d_got.has_interval);
     EXPECT_NEAR(d_got.low, d_want.low, 1e-9 * (1.0 + d_want.high));
     EXPECT_NEAR(d_got.high, d_want.high, 1e-9 * (1.0 + d_want.high));
@@ -148,7 +148,9 @@ TEST(ModelIoTest, LegacyRecordWithoutXtxInvStillParses) {
   EXPECT_DOUBLE_EQ(restored->Estimate({1.0, 2.0}, 0.3),
                    original.Estimate({1.0, 2.0}, 0.3));
   EXPECT_FALSE(restored->EstimateWithInterval({1.0, 2.0}, 0.3).has_value());
-  EXPECT_FALSE(restored->EstimateDistribution({1.0, 2.0}, 0.3).has_interval);
+  EXPECT_FALSE(restored->compiled()
+                   .EvaluateDistribution({1.0, 2.0}, 0.3, 0.1)
+                   .has_interval);
 }
 
 TEST(ModelIoTest, RejectsTamperedXtxInv) {
@@ -227,8 +229,8 @@ TEST(ModelIoTest, AdaptedModelRoundTripsBitExact) {
     const std::vector<double> features = {rng.Uniform(0, 12),
                                           rng.Uniform(0, 12)};
     const double probe = rng.NextDouble();
-    EXPECT_EQ(restored->EstimateFast(features, probe),
-              original.EstimateFast(features, probe));
+    EXPECT_EQ(restored->Estimate(features, probe),
+              original.Estimate(features, probe));
   }
 }
 

@@ -82,7 +82,8 @@ TEST(CostDistributionTest, HardStateMatchesPointAndInterval) {
   // Probing cost well away from the boundary: no blending, the distribution
   // must reproduce the point estimate and the 95% prediction interval.
   const double probe = 0.2;
-  const CostDistribution d = model.EstimateDistribution(features, probe);
+  const CostDistribution d =
+      model.compiled().EvaluateDistribution(features, probe, 0.1);
   EXPECT_TRUE(d.has_interval);
   EXPECT_NEAR(d.mean, model.Estimate(features, probe), kTol);
   const auto interval = model.EstimateWithInterval(features, probe);
@@ -96,7 +97,8 @@ TEST(CostDistributionTest, BlendsAtTheBoundary) {
   const CostModel model = NoisyTwoStateModel();
   const std::vector<double> features = Features(5.0);
   // Exactly on the boundary: half the weight on each adjacent state.
-  const CostDistribution d = model.EstimateDistribution(features, 1.0);
+  const CostDistribution d =
+      model.compiled().EvaluateDistribution(features, 1.0, 0.1);
   const double m0 = model.Estimate(features, 0.2);
   const double m1 = model.Estimate(features, 1.8);
   EXPECT_NEAR(d.mean, 0.5 * (m0 + m1), 1e-6 * (1.0 + m1));
@@ -112,8 +114,10 @@ TEST(CostDistributionTest, ContinuousAcrossTheBandEdge) {
   const std::vector<double> features = Features(5.0);
   // band = 0.1 * |1.0|: the blend weight ramps to zero at probe 0.9, so the
   // served mean must not jump crossing the band edge.
-  const double inside = model.EstimateDistribution(features, 0.9 + 1e-9).mean;
-  const double outside = model.EstimateDistribution(features, 0.9 - 1e-9).mean;
+  const double inside =
+      model.compiled().EvaluateDistribution(features, 0.9 + 1e-9, 0.1).mean;
+  const double outside =
+      model.compiled().EvaluateDistribution(features, 0.9 - 1e-9, 0.1).mean;
   EXPECT_NEAR(inside, outside, 1e-5 * (1.0 + outside));
 }
 
@@ -121,7 +125,8 @@ TEST(CostDistributionTest, ZeroBandFractionServesHardStates) {
   const CostModel model = NoisyTwoStateModel();
   const std::vector<double> features = Features(5.0);
   const CostDistribution d =
-      model.EstimateDistribution(features, 1.0, /*band_fraction=*/0.0);
+      model.compiled().EvaluateDistribution(features, 1.0,
+                                            /*band_fraction=*/0.0);
   EXPECT_NEAR(d.mean, model.Estimate(features, 1.0), kTol);
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-2 concurrency check: build the tree under a sanitizer and run the
-# concurrency-sensitive suites (thread pool, snapshot catalog, contention
-# tracker, estimation service, model-refresh daemon, RLS/adaptation
+# concurrency-sensitive suites (thread pool, contention tracker,
+# estimation service, model-refresh daemon, RLS/adaptation
 # controller feedback loop, circuit breaker, fault injection, stress, chaos,
 # epoch reclamation, thread registry, per-thread stats, site lifecycle /
 # churn, the fleet simulator, the fleet-scale churn soak, and the net
@@ -24,13 +24,13 @@ case "${SANITIZER}" in
   address) BUILD_DIR="${REPO_ROOT}/build-asan" ;;
   *) BUILD_DIR="${REPO_ROOT}/build-${SANITIZER}" ;;
 esac
-FILTER='(ThreadPool|SnapshotCatalog|ContentionTracker|EstimationService|ModelRefresh|RuntimeStress|EstimateCache|CircuitBreaker|FaultInjector|FaultyObservationSource|RuntimeChaos|Epoch|ThreadRegistry|LatencyHistogram|RuntimeCounters|Rls|Adaptation|WireReader|WireMessages|WireValidation|WireGeneration|WireFuzz|FrameAssembler|StatsCodec|NetServer|NetShutdown|NetLoadGen|PlacementPolicy|CostDistribution|SiteLifecycle|FleetTest|RuntimeSoak)'
+FILTER='(ThreadPool|ContentionTracker|EstimationService|ModelRefresh|RuntimeStress|EstimateCache|CircuitBreaker|FaultInjector|FaultyObservationSource|RuntimeChaos|Epoch|ThreadRegistry|LatencyHistogram|RuntimeCounters|Rls|Adaptation|WireReader|WireMessages|WireValidation|WireGeneration|WireFuzz|FrameAssembler|StatsCodec|NetServer|NetShutdown|NetLoadGen|PlacementPolicy|CostDistribution|SiteLifecycle|FleetTest|RuntimeSoak)'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DMSCM_SANITIZE="${SANITIZER}" \
   > /dev/null
 
 cmake --build "${BUILD_DIR}" -j \
-  --target thread_pool_test snapshot_catalog_test contention_tracker_test \
+  --target thread_pool_test contention_tracker_test \
            runtime_service_test runtime_refresh_test runtime_stress_test \
            estimate_cache_test circuit_breaker_test fault_injector_test \
            runtime_chaos_test epoch_test runtime_stats_test \

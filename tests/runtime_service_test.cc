@@ -194,7 +194,7 @@ TEST(EstimationServiceTest, ModelReplacementIsVisibleToNewRequests) {
   const auto cls = QueryClassId::kUnarySeqScan;
   service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
   // A long-lived snapshot taken before the replacement …
-  const SnapshotCatalog::Snapshot old_snap = service.CatalogSnapshot();
+  const EstimationService::Snapshot old_snap = service.CatalogSnapshot();
   const core::CostModel* old_model = old_snap->Find("a", cls);
   ASSERT_NE(old_model, nullptr);
 
