@@ -9,12 +9,17 @@
 //
 // MSCM_BENCH_SCALE (env var) shrinks table cardinalities for quick runs;
 // default is paper scale (1.0).
+//
+// MachineJsonFields() describes the machine a throughput bench ran on, for
+// its BENCH_*.json.
 
 #ifndef MSCM_BENCH_BENCH_UTIL_H_
 #define MSCM_BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "mdbs/local_dbs.h"
 
@@ -48,6 +53,31 @@ inline mdbs::LocalDbsConfig SiteConfig(const std::string& name,
 
 inline const char* SiteDbmsLabel(const std::string& name) {
   return name == "beta" ? "beta (DB2-5.0-like)" : "alpha (Oracle-8.0-like)";
+}
+
+// The machine as JSON object members, under the names perfbench's
+// `# machine` line uses: "nproc", "cpu_model", "compiler", "build_type".
+inline std::string MachineJsonFields() {
+  std::string cpu_model;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      cpu_model = line.substr(line.find(':') + 1);
+      cpu_model.erase(0, cpu_model.find_first_not_of(' '));
+      break;
+    }
+  }
+  std::string compiler;
+#ifdef __VERSION__
+  compiler = __VERSION__;
+#endif
+  std::string build_type;
+#ifdef MSCM_BUILD_TYPE
+  build_type = MSCM_BUILD_TYPE;
+#endif
+  return "\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + cpu_model + "\", \"compiler\": \"" +
+         compiler + "\", \"build_type\": \"" + build_type + "\"";
 }
 
 }  // namespace mscm::bench

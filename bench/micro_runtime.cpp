@@ -1,34 +1,31 @@
-// Throughput / latency microbench for the online estimation service
-// (src/runtime): how fast can concurrent planner threads price queries
-// against the catalog snapshot + cached contention states?
+// Microbench for the online estimation service (src/runtime): the rows and
+// duels no other program measures. Per-rung ns/op on the paper-derived
+// catalog (kernel, cache hit, miss, placement, wire frame) comes from
+// `perfbench --trace 1` (its ladder.* metrics); this bench measures how the
+// service holds up as readers, a writer and a refresh daemon share it, what
+// degraded serving costs, and the placement and drift-recovery duels.
 //
-// Scenarios (fresh service each, same request workload):
-//   single  x1   — one thread, one Estimate() call per request
-//   batch   x1   — one thread, EstimateBatch() in chunks of kBatch
-//   batch   xN   — N reader threads, each batching its own slice
+// Rows (a fresh service each, estimate cache off, over one 40960-request
+// workload cut into 512-request chunks before any clock runs):
+//   single  x1   — one reader, one Estimate() call per request
+//   batch   xN   — N readers (1, 2, 4, 8), one EstimateBatch() per chunk
 //   batch   x8+w — 8 readers while a writer re-registers models (CoW swaps)
 //   batch   x8+r — 8 readers while a refresh daemon, fed a stream of
 //                  drifting feedback, continuously re-derives and swaps
-//   hot     x1   — one thread, Estimate() over a small working set of
-//                  requests cycled repeatedly (cache disabled)
-//   hot x1 cached — same hot loop with the estimate cache enabled; the
-//                  derived cached_hot_loop_speedup_x is hot-cached / hot
-//   compiled batch — one thread, EstimateBatch() over the hot working set
-//                  (cache disabled): the blocked loop over compiled rows
+//   degraded x1  — single x1 against sites whose probe circuit breakers are
+//                  open: every response is priced from the last known state
+//                  and flagged degraded. It runs right after single x1 in
+//                  every round; the derived degraded_overhead_x is the
+//                  median over rounds of degraded x1 / single x1 in CPU per
+//                  request (a descheduled window cannot invert it); >= 1.0
+//                  means degraded serving costs more.
 //   termwalk x1  — raw-model hot loop through the retired per-term walk
 //                  (CostModel::EstimateTermWalk), no service or cache
 //   compiled x1  — the same raw-model hot loop through the compiled
 //                  per-state table (CostModel::Estimate); the derived
 //                  compiled_hot_loop_speedup_x is compiled / termwalk
-//   degraded x1  — one thread, Estimate() against sites whose probe circuit
-//                  breakers are open: every response is priced from the last
-//                  known state and flagged degraded (never memoized). The
-//                  derived degraded_overhead_x is healthy / degraded, both
-//                  sides measured *paired* — alternating rep by rep — so
-//                  run-order and clock-frequency drift hit both equally (a
-//                  degraded run measured half a bench after its healthy
-//                  baseline once reported a nonsensical sub-1.0 "overhead").
-//                  Values >= 1.0 mean degraded serving costs throughput.
+//
+// Duels (deterministic, counted in trials and observations):
 //   boundary jitter placement — a placement duel on a probing cost that
 //                  jitters around a state boundary: the point-estimate
 //                  ranking flips between a cheap-state and expensive-state
@@ -45,47 +42,52 @@
 //                  Emits adaptation_convergence_ratio_x (gated >= 3 in
 //                  --smoke) and adaptation_probe_savings_x.
 //
-// Emits BENCH_runtime.json with requests/sec, p50/p99 per-estimate latency
-// and shared_rmw_per_request per scenario (the RmwProbe tally of shared
-// atomic read-modify-writes — refcounts, mutexes, shared counters — summed
-// across reader threads over the timed pass; the cached hot path must
-// report exactly 0), plus the derived batch-amortization and
-// thread-scaling factors.
+// Timing: every row runs kReps windows, in rounds over the rows so that
+// drift in the host (and the healthy/degraded pair) hits every row alike,
+// and reports the median requests/s with the min and max beside it. In a
+// window each reader warms up on one pass over its chunks, waits at a start
+// barrier (the calling thread is reader 0, so N readers are N threads), then
+// serves chunks until a shared deadline — 50 ms with --smoke, 500 ms
+// otherwise — and counts its own requests. Each reader also reads its CPU
+// clock (CLOCK_THREAD_CPUTIME_ID) around its window, so a row reports
+//   cpu_ns_per_request     — summed reader CPU / requests: what a request
+//                            costs, whatever the host's scheduler does;
+//   overlap                — summed reader CPU / (readers x window): 1.0 when
+//                            every reader ran the whole window; a shared VM
+//                            can read ~0.25 at x4 (the readers took turns on
+//                            one CPU), which no code change can mend;
+//   shared_rmw_per_request — the RmwProbe tally of shared atomic
+//                            read-modify-writes, summed over readers (max
+//                            over reps).
+// Wall-clock thread scaling (thread_scaling_*_x, next to its overlap) is a
+// report, not a gate: it measures whether the host runs the readers at once.
+// Threads beyond the machine's cores cannot add speedup, so rows record an
+// `oversubscribed` flag and the honest figures use the largest batch thread
+// count that fits the machine.
 //
-// Scaling honesty: threads beyond the machine's cores cannot add speedup,
-// so each scenario records an `oversubscribed` flag, the JSON records
-// `effective_hardware_threads`, and alongside the headline
-// thread_scaling_8t_x the bench emits thread_scaling_honest_x measured at
-// the largest batch thread count that actually fits the machine.
-//
-// Each scenario runs kReps times and reports the best repetition — on a
-// shared machine the best rep is the least-perturbed measurement.
-//
-// MSCM_RUNTIME_BENCH_N (env) overrides the request count;
-// MSCM_RUNTIME_BENCH_REPS overrides the repetition count.
-// `--smoke` runs a bounded CI-sized pass (2000 requests, 1 rep), skips the
-// JSON write, and fails (exit 1) if any of these hold: the cached hot path
-// or the uncached single x1 / batch x1 rungs performed a shared atomic RMW
-// per request, the paired degraded overhead
-// fell below 0.8x (orientation check), expected-cost placement did not
-// strictly beat point-estimate placement on wrong-site rate in the
-// boundary-jitter duel, placement_expected_cost_wins stayed zero, the
-// drift-recovery duel failed to converge or its RLS-vs-rederive observation
-// ratio fell below 3x, or (on a multi-core machine) thread_scaling_honest_x
-// fell below 1.05x.
+// Emits BENCH_runtime.json. `--smoke` runs CI-sized windows, skips the JSON
+// write, and fails (exit 1) if any of these hold: single x1 or batch x1
+// performed a shared atomic RMW, the paired degraded overhead fell below
+// 0.8x (orientation check), expected-cost placement did not strictly beat
+// point-estimate placement on wrong-site rate in the boundary-jitter duel,
+// placement_expected_cost_wins stayed zero, the drift-recovery duel failed
+// to converge or its RLS-vs-rederive observation ratio fell below 3x, or
+// (on a multi-core machine) a request cost more than 1.5x the CPU at the
+// honest thread count than at batch x1 (median over rounds of the ratio).
+
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <latch>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "common/text_table.h"
@@ -96,7 +98,6 @@
 #include "runtime/estimation_service.h"
 #include "runtime/model_refresh.h"
 #include "runtime/rmw_probe.h"
-#include "sim/fleet.h"
 
 namespace {
 
@@ -104,13 +105,8 @@ using namespace mscm;
 using Clock = std::chrono::steady_clock;
 
 constexpr size_t kBatch = 512;
-
-size_t EnvCount(const char* name, size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  const long v = std::atol(env);
-  return v > 0 ? static_cast<size_t>(v) : fallback;
-}
+constexpr size_t kChunks = 80;  // 40960 requests, 10 chunks per reader at x8
+constexpr int kReps = 5;
 
 // A fitted 4-state model over 3 selected variables with synthetic
 // coefficients — the estimate path (state lookup + design row + dot
@@ -160,36 +156,65 @@ class BenchSource : public core::ObservationSource {
 };
 
 struct Scenario {
+  enum class Path { kService, kTermWalk, kCompiled };
   std::string name;
   int threads = 1;
   bool batched = false;
   bool with_writer = false;
   bool with_refresh = false;
-  bool cached = false;  // enable the state-keyed estimate cache
-  bool hot = false;     // drive the cycled working-set workload
   bool degraded = false;  // trip every site's breaker before the run
+  Path path = Path::kService;
 };
 
+// One timed window of a row.
 struct Result {
-  Scenario scenario;
   double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  uint64_t refreshes = 0;   // models re-derived + swapped during the run
-  uint64_t cache_hits = 0;  // estimate-cache hits (cached scenarios)
-  // Shared atomic RMWs per request over the timed pass, summed across the
-  // scenario's reader threads (RmwProbe tally; raw-model loops report 0).
+  double cpu_ns_per_request = 0.0;
+  double overlap = 0.0;
   double rmw_per_request = 0.0;
+  double refreshes = 0.0;  // models re-derived + swapped during the run
 };
 
-std::vector<runtime::EstimateRequest> MakeWorkload(size_t n) {
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+};
+
+struct Row {
+  Scenario scenario;
+  std::vector<Result> reps = {};
+
+  Spread Of(double Result::*field) const {
+    std::vector<double> values;
+    for (const Result& r : reps) values.push_back(r.*field);
+    std::sort(values.begin(), values.end());
+    return {values.front(), values[values.size() / 2], values.back()};
+  }
+};
+
+// Median over rounds of a's CPU per request over b's in the same round:
+// both rows of a round ran within a fraction of a second of each other, so
+// a slow spell on the host lands on both sides of the ratio.
+double PairedCpuRatio(const Row& a, const Row& b) {
+  std::vector<double> ratios;
+  for (size_t r = 0; r < a.reps.size(); ++r) {
+    ratios.push_back(a.reps[r].cpu_ns_per_request /
+                     b.reps[r].cpu_ns_per_request);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
+using Chunk = std::vector<runtime::EstimateRequest>;
+
+std::vector<Chunk> MakeWorkload() {
   const std::vector<std::string> sites = {"alpha", "beta"};
   const std::vector<core::QueryClassId> classes = {
       core::QueryClassId::kUnarySeqScan, core::QueryClassId::kJoinNoIndex};
   Rng rng(17);
-  std::vector<runtime::EstimateRequest> requests;
-  requests.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  std::vector<Chunk> chunks(kChunks);
+  for (size_t i = 0; i < kChunks * kBatch; ++i) {
     runtime::EstimateRequest request;
     request.site = sites[i % sites.size()];
     request.class_id = classes[(i / 2) % classes.size()];
@@ -198,29 +223,15 @@ std::vector<runtime::EstimateRequest> MakeWorkload(size_t n) {
     for (size_t j = 0; j < 3; ++j) {
       request.features[j] = rng.Uniform(1.0, 10.0);
     }
-    requests.push_back(std::move(request));
+    chunks[i / kBatch].push_back(std::move(request));
   }
-  return requests;
+  return chunks;
 }
 
-// A planner's hot loop: a small working set of distinct requests (the
-// candidate placements under consideration) priced over and over.
-std::vector<runtime::EstimateRequest> MakeHotWorkload(size_t n) {
-  constexpr size_t kWorkingSet = 256;
-  const std::vector<runtime::EstimateRequest> distinct =
-      MakeWorkload(std::min(n, kWorkingSet));
-  std::vector<runtime::EstimateRequest> requests;
-  requests.reserve(n);
-  for (size_t i = 0; i < n; ++i) requests.push_back(distinct[i % distinct.size()]);
-  return requests;
-}
-
-std::unique_ptr<runtime::EstimationService> MakeService(bool cached,
-                                                        bool degraded) {
+std::unique_ptr<runtime::EstimationService> MakeService(bool degraded) {
   runtime::EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
   config.worker_threads = 0;  // reader threads are the parallelism measured
-  if (cached) config.cache.capacity_per_thread = 4096;
   if (degraded) {
     config.breaker.failure_threshold = 1;
     config.breaker.open_duration = std::chrono::hours(1);  // stays open
@@ -249,9 +260,83 @@ std::unique_ptr<runtime::EstimationService> MakeService(bool cached,
   return service;
 }
 
-Result Run(const Scenario& scenario,
-           const std::vector<runtime::EstimateRequest>& requests) {
-  auto service = MakeService(scenario.cached, scenario.degraded);
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// Runs `threads` readers through one timed window. serve(t, k) has reader t
+// do its k-th step and returns the requests it priced; steps [0, warm_steps)
+// are the reader's warm-up, before the start barrier. The window runs from
+// the go signal to the last reader's own finish, so neither thread creation
+// nor teardown is timed; each reader checks the shared deadline after every
+// step, and serves at least one, so no row divides by zero requests.
+template <typename Serve>
+Result TimeWindow(int threads, Clock::duration window, size_t warm_steps,
+                  Serve serve) {
+  struct Tally {
+    uint64_t requests = 0;
+    uint64_t rmw = 0;
+    double cpu_seconds = 0.0;
+    Clock::time_point finished;
+  };
+  std::vector<Tally> tallies(static_cast<size_t>(threads));
+  std::latch ready(threads);
+  std::atomic<bool> go{false};
+  Clock::time_point started;
+  Clock::time_point deadline;
+  auto reader = [&](int t) {
+    size_t k = 0;
+    for (; k < warm_steps; ++k) serve(t, k);
+    ready.count_down();
+    if (t == 0) {
+      ready.wait();
+      started = Clock::now();
+      deadline = started + window;
+      go.store(true, std::memory_order_release);
+    } else {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+    const double cpu_before = ThreadCpuSeconds();
+    const uint64_t rmw_before = runtime::RmwProbe::Current();
+    uint64_t requests = 0;
+    do {
+      requests += serve(t, k++);
+    } while (Clock::now() < deadline);
+    Tally& tally = tallies[static_cast<size_t>(t)];
+    tally.rmw = runtime::RmwProbe::Current() - rmw_before;
+    tally.cpu_seconds = ThreadCpuSeconds() - cpu_before;
+    tally.requests = requests;
+    tally.finished = Clock::now();
+  };
+  std::vector<std::thread> readers;
+  for (int t = 1; t < threads; ++t) readers.emplace_back(reader, t);
+  reader(0);
+  for (std::thread& r : readers) r.join();
+
+  Tally total;
+  for (const Tally& tally : tallies) {
+    total.requests += tally.requests;
+    total.rmw += tally.rmw;
+    total.cpu_seconds += tally.cpu_seconds;
+    total.finished = std::max(total.finished, tally.finished);
+  }
+  const double seconds =
+      std::chrono::duration<double>(total.finished - started).count();
+  const auto requests = static_cast<double>(total.requests);
+  Result result;
+  result.qps = requests / seconds;
+  result.cpu_ns_per_request = 1e9 * total.cpu_seconds / requests;
+  result.overlap = total.cpu_seconds / (threads * seconds);
+  result.rmw_per_request = static_cast<double>(total.rmw) / requests;
+  return result;
+}
+
+Result RunService(const Scenario& scenario, const std::vector<Chunk>& chunks,
+                  Clock::duration window) {
+  auto service = MakeService(scenario.degraded);
 
   std::atomic<bool> writer_stop{false};
   std::thread writer;
@@ -301,100 +386,34 @@ Result Run(const Scenario& scenario,
     });
   }
 
-  // drive() returns the calling thread's RmwProbe delta over its requests.
-  auto drive = [&](size_t begin, size_t end) {
-    const uint64_t rmw_before = runtime::RmwProbe::Current();
-    if (scenario.batched) {
-      std::vector<runtime::EstimateRequest> chunk;
-      for (size_t i = begin; i < end; i += kBatch) {
-        const size_t stop = std::min(end, i + kBatch);
-        chunk.assign(requests.begin() + static_cast<long>(i),
-                     requests.begin() + static_cast<long>(stop));
-        service->EstimateBatch(chunk);
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) service->Estimate(requests[i]);
-    }
-    return runtime::RmwProbe::Current() - rmw_before;
-  };
-
-  // Readers are started before the clock, behind a start barrier, and the
-  // calling thread is reader 0 (so N readers are N threads, never N + 1 on N
-  // cores). Each reader first warms its own registry slot, counter shard,
-  // histogram stripe and cache shard on a prefix of its slice (1/8 of it,
-  // but at least one full cycle of the hot working set, so cached scenarios
-  // enter the timed pass fully warm), then spins until the go signal. The
-  // clock runs from the signal to the last reader's own finish time, so
-  // neither thread creation nor teardown is timed.
-  const int threads = std::max(1, scenario.threads);
-  const size_t per = requests.size() / static_cast<size_t>(threads);
-  std::latch ready(threads);
-  std::atomic<bool> go{false};
-  std::atomic<uint64_t> rmw_total{0};
-  Clock::time_point started;
-  std::vector<Clock::time_point> finished(static_cast<size_t>(threads));
-  auto reader = [&](int t) {
-    const size_t begin = static_cast<size_t>(t) * per;
-    const size_t end = t + 1 == threads ? requests.size() : begin + per;
-    drive(begin,
-          std::min(end, begin + std::max<size_t>((end - begin) / 8, 512)));
-    ready.count_down();
-    if (t == 0) {
-      ready.wait();
-      started = Clock::now();
-      go.store(true, std::memory_order_release);
-    } else {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    }
-    const uint64_t rmw = drive(begin, end);
-    finished[static_cast<size_t>(t)] = Clock::now();
-    rmw_total.fetch_add(rmw, std::memory_order_relaxed);
-  };
-  std::vector<std::thread> readers;
-  for (int t = 1; t < threads; ++t) readers.emplace_back(reader, t);
-  reader(0);
-  for (std::thread& r : readers) r.join();
-  const double seconds =
-      std::chrono::duration<double>(
-          *std::max_element(finished.begin(), finished.end()) - started)
-          .count();
+  // Reader t serves chunks t, t + threads, t + 2 * threads, ... in a cycle;
+  // its warm-up is one pass over them.
+  const auto threads = static_cast<size_t>(scenario.threads);
+  const size_t own_chunks = chunks.size() / threads;
+  Result result = TimeWindow(
+      scenario.threads, window, own_chunks, [&](int t, size_t k) {
+        const Chunk& chunk =
+            chunks[static_cast<size_t>(t) + (k % own_chunks) * threads];
+        if (scenario.batched) {
+          service->EstimateBatch(chunk);
+        } else {
+          for (const runtime::EstimateRequest& r : chunk) service->Estimate(r);
+        }
+        return chunk.size();
+      });
 
   if (scenario.with_writer) {
     writer_stop.store(true);
     writer.join();
   }
-  uint64_t refreshes = 0;
   if (scenario.with_refresh) {
     reporter_stop.store(true);
     reporter.join();
-    refreshes = daemon->Stats().refreshes_succeeded;
+    result.refreshes =
+        static_cast<double>(daemon->Stats().refreshes_succeeded);
     daemon.reset();  // drains any in-flight refresh before the service dies
   }
-
-  const runtime::RuntimeStatsSnapshot stats = service->Stats();
-  Result result;
-  result.scenario = scenario;
-  result.qps = static_cast<double>(requests.size()) / seconds;
-  result.p50_us = stats.estimate_latency.p50_seconds * 1e6;
-  result.p99_us = stats.estimate_latency.p99_seconds * 1e6;
-  result.refreshes = refreshes;
-  result.cache_hits = stats.estimate_cache_hits;
-  result.rmw_per_request = static_cast<double>(
-                               rmw_total.load(std::memory_order_relaxed)) /
-                           static_cast<double>(requests.size());
   return result;
-}
-
-// Best (highest-throughput) of `reps` repetitions of a scenario.
-Result RunBestOf(const Scenario& scenario,
-                 const std::vector<runtime::EstimateRequest>& requests,
-                 size_t reps) {
-  Result best = Run(scenario, requests);
-  for (size_t r = 1; r < reps; ++r) {
-    Result next = Run(scenario, requests);
-    if (next.qps > best.qps) best = next;
-  }
-  return best;
 }
 
 // Raw-model hot loop: a 256-request working set priced directly against one
@@ -422,226 +441,30 @@ RawWorkload MakeRawWorkload() {
   return workload;
 }
 
-Result RunRawBestOf(const core::CostModel& model, const RawWorkload& workload,
-                    bool compiled, size_t n, size_t reps) {
+// One step is four passes over the working set, so the deadline check
+// between steps stays well under 1% of a step.
+Result RunRaw(const Scenario& scenario, const core::CostModel& model,
+              const RawWorkload& workload, Clock::duration window) {
+  const bool compiled = scenario.path == Scenario::Path::kCompiled;
   const size_t set = workload.features.size();
   double sink = 0.0;
-  Result best;
-  best.scenario.name = compiled ? "compiled x1" : "termwalk x1";
-  for (size_t rep = 0; rep < reps; ++rep) {
-    for (size_t i = 0; i < n / 8; ++i) {  // warmup
-      const size_t k = i % set;
-      sink += model.Estimate(workload.features[k], workload.probes[k]);
-    }
-    const auto started = Clock::now();
-    if (compiled) {
-      for (size_t i = 0; i < n; ++i) {
-        const size_t k = i % set;
-        sink += model.Estimate(workload.features[k], workload.probes[k]);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const size_t k = i % set;
-        sink +=
-            model.EstimateTermWalk(workload.features[k], workload.probes[k]);
+  const Result result = TimeWindow(1, window, 64, [&](int, size_t) {
+    for (size_t pass = 0; pass < 4; ++pass) {
+      if (compiled) {
+        for (size_t k = 0; k < set; ++k) {
+          sink += model.Estimate(workload.features[k], workload.probes[k]);
+        }
+      } else {
+        for (size_t k = 0; k < set; ++k) {
+          sink += model.EstimateTermWalk(workload.features[k],
+                                         workload.probes[k]);
+        }
       }
     }
-    const double seconds =
-        std::chrono::duration<double>(Clock::now() - started).count();
-    best.qps = std::max(best.qps, static_cast<double>(n) / seconds);
-  }
+    return 4 * set;
+  });
   if (!(sink >= 0.0)) std::printf("sink %f\n", sink);  // keep the loops live
-  return best;
-}
-
-// Fleet-scale serving under churn: a generated population of heterogeneous
-// sites (sim::Fleet) behind one cached service, two reader threads pricing
-// tracker-resolved requests across the whole fleet while a churner
-// unregisters and re-registers sites and a regime thread moves every site's
-// contention (diurnal sweep + group spikes). Reports sustained throughput
-// and checks the lifecycle invariants the runtime soak pins: counter
-// conservation (requests == hits + misses), retirement accounting
-// (sites_retired == churn cycles) and full serving once churn stops.
-struct FleetOutcome {
-  Result result;
-  size_t sites = 0;
-  uint64_t churn_cycles = 0;
-  uint64_t cache_hits = 0;
-  bool conservation_ok = false;
-  bool retirement_ok = false;
-  bool serving_ok = false;
-};
-
-// One model per distinct state count, copied per site: the estimate path
-// through a copy is identical, and fitting three prototypes instead of two
-// hundred keeps bench startup off the critical path.
-core::CostModel MakeFleetModel(int num_states) {
-  const size_t n_features =
-      core::VariableSet::ForClass(core::QueryClassId::kUnarySeqScan).size();
-  core::ObservationSet obs;
-  Rng rng(static_cast<uint64_t>(num_states) * 97 + 5);
-  std::vector<double> boundaries;
-  for (int s = 0; s < num_states; ++s) {
-    if (s > 0) boundaries.push_back(static_cast<double>(s));
-    for (int i = 0; i < 40; ++i) {
-      core::Observation o;
-      o.probing_cost = static_cast<double>(s) + 0.5;
-      o.features.assign(n_features, 0.0);
-      o.features[0] = rng.Uniform(1.0, 10.0);
-      o.cost = (0.4 + 1.3 * static_cast<double>(s)) * o.features[0];
-      obs.push_back(std::move(o));
-    }
-  }
-  return core::FitCostModel(core::QueryClassId::kUnarySeqScan, obs, {0},
-                            core::ContentionStates::FromBoundaries(boundaries),
-                            core::QualitativeForm::kGeneral);
-}
-
-FleetOutcome RunFleetScenario(bool smoke) {
-  sim::FleetConfig fleet_config;
-  fleet_config.num_sites = smoke ? 64 : 208;
-  fleet_config.diurnal_period_seconds = 2.0;
-  sim::Fleet fleet(fleet_config);
-  const size_t num_sites = fleet.num_sites();
-
-  runtime::EstimationServiceConfig config;
-  config.probe_ttl = std::chrono::hours(1);
-  config.worker_threads = 0;
-  config.cache.capacity_per_thread = 2048;
-  runtime::EstimationService service(config);
-
-  std::map<int, core::CostModel> prototypes;
-  for (size_t i = 0; i < num_sites; ++i) {
-    const int s = fleet.spec(i).num_states;
-    if (prototypes.find(s) == prototypes.end()) {
-      prototypes.emplace(s, MakeFleetModel(s));
-    }
-  }
-  for (size_t i = 0; i < num_sites; ++i) {
-    const sim::FleetSiteSpec& spec = fleet.spec(i);
-    service.RegisterSite(spec.name, [&fleet, i] { return fleet.probing_cost(i); });
-    service.RegisterModel(spec.name, prototypes.at(spec.num_states));
-    service.ProbeNow(spec.name);
-  }
-
-  constexpr int kReaders = 2;
-  const size_t per_reader = smoke ? 40000 : 400000;
-  const size_t feature_width =
-      core::VariableSet::ForClass(core::QueryClassId::kUnarySeqScan).size();
-  std::atomic<bool> stop_background{false};
-
-  std::thread regime([&] {
-    Rng rng(41);
-    uint64_t ticks = 0;
-    while (!stop_background.load(std::memory_order_relaxed)) {
-      fleet.Advance(0.01);
-      if (++ticks % 40 == 0) {
-        fleet.TriggerSpike(
-            static_cast<size_t>(rng.UniformInt(
-                0, static_cast<int64_t>(fleet_config.num_groups) - 1)),
-            rng.Uniform(0.3, 0.8), rng.Uniform(0.2, 0.5));
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  std::thread prober([&] {
-    size_t i = 0;
-    while (!stop_background.load(std::memory_order_relaxed)) {
-      service.ProbeNow(fleet.spec(i % num_sites).name);
-      ++i;
-      if (i % 64 == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  });
-  // Churn rolls over a fixed pool at the front of the fleet; readers accept
-  // kNoModel from exactly that pool while a site is mid-cycle.
-  const size_t churn_count = std::min<size_t>(8, num_sites / 8);
-  std::atomic<uint64_t> churn_cycles{0};
-  std::thread churner([&] {
-    size_t k = 0;
-    while (!stop_background.load(std::memory_order_relaxed)) {
-      const size_t i = k % churn_count;
-      const sim::FleetSiteSpec& spec = fleet.spec(i);
-      service.UnregisterSite(spec.name);
-      service.RegisterSite(spec.name,
-                           [&fleet, i] { return fleet.probing_cost(i); });
-      service.RegisterModel(spec.name, prototypes.at(spec.num_states));
-      service.ProbeNow(spec.name);
-      churn_cycles.fetch_add(1, std::memory_order_relaxed);
-      ++k;
-      std::this_thread::sleep_for(std::chrono::microseconds(500));
-    }
-  });
-
-  std::atomic<bool> bad_status{false};
-  std::vector<std::thread> readers;
-  const auto started = Clock::now();
-  for (int t = 0; t < kReaders; ++t) {
-    readers.emplace_back([&, t] {
-      Rng rng(100 + static_cast<uint64_t>(t));
-      for (size_t r = 0; r < per_reader; ++r) {
-        const size_t i = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(num_sites) - 1));
-        runtime::EstimateRequest request;
-        request.site = fleet.spec(i).name;
-        request.features.assign(feature_width, 0.0);
-        request.features[0] = 1.0 + static_cast<double>(r % 8);
-        request.probing_cost = -1.0;
-        const runtime::EstimateResponse response = service.Estimate(request);
-        // A churn-pool site mid-cycle legitimately serves kNoModel (between
-        // unregister and re-register) or kNoProbe (re-registered, first
-        // probe still pending) — same contract the runtime soak pins.
-        const bool ok_here =
-            response.ok() ||
-            (i < churn_count &&
-             (response.status == runtime::EstimateStatus::kNoModel ||
-              response.status == runtime::EstimateStatus::kNoProbe));
-        if (!ok_here) bad_status.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& r : readers) r.join();
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - started).count();
-  stop_background.store(true, std::memory_order_relaxed);
-  churner.join();
-  prober.join();
-  regime.join();
-
-  // Churn stopped with every site registered; one probe pass and the whole
-  // fleet must serve.
-  bool serving_ok = !bad_status.load();
-  for (size_t i = 0; i < num_sites; ++i) {
-    service.ProbeNow(fleet.spec(i).name);
-  }
-  for (size_t i = 0; i < num_sites; ++i) {
-    runtime::EstimateRequest request;
-    request.site = fleet.spec(i).name;
-    request.features.assign(feature_width, 0.0);
-    request.features[0] = 2.0;
-    request.probing_cost = -1.0;
-    if (!service.Estimate(request).ok()) serving_ok = false;
-  }
-
-  const runtime::RuntimeStatsSnapshot stats = service.Stats();
-  FleetOutcome outcome;
-  outcome.result.scenario.name = "fleet x2 + churn";
-  outcome.result.scenario.threads = kReaders;
-  outcome.result.scenario.cached = true;
-  outcome.result.qps =
-      static_cast<double>(per_reader * kReaders) / seconds;
-  outcome.result.cache_hits = stats.estimate_cache_hits;
-  outcome.sites = num_sites;
-  outcome.churn_cycles = churn_cycles.load();
-  outcome.cache_hits = stats.estimate_cache_hits;
-  // Every request here is tracker-resolved (probing < 0) on a cached
-  // service, so the flow balance is exact: a request is a hit or a miss.
-  outcome.conservation_ok =
-      stats.requests == stats.estimate_cache_hits + stats.estimate_cache_misses;
-  outcome.retirement_ok = stats.sites_retired == churn_cycles.load();
-  outcome.serving_ok = serving_ok && stats.degraded_sites == 0;
-  return outcome;
+  return result;
 }
 
 // ---- Boundary-jitter placement duel ---------------------------------------
@@ -937,6 +760,7 @@ AdaptationDuelOutcome RunAdaptationDuel() {
   return outcome;
 }
 
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -945,99 +769,67 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
   }
-  // Smoke mode bounds the run for CI: small workload, one rep, no JSON.
-  const size_t n = EnvCount("MSCM_RUNTIME_BENCH_N", smoke ? 2000 : 40000);
-  const size_t reps = EnvCount("MSCM_RUNTIME_BENCH_REPS", smoke ? 1 : 3);
-  const std::vector<runtime::EstimateRequest> requests = MakeWorkload(n);
-  const std::vector<runtime::EstimateRequest> hot_requests = MakeHotWorkload(n);
+  const Clock::duration window =
+      smoke ? std::chrono::milliseconds(50) : std::chrono::milliseconds(500);
+  const std::vector<Chunk> chunks = MakeWorkload();
+  const core::CostModel raw_model =
+      MakeModel(core::QueryClassId::kUnarySeqScan, 1);
+  const RawWorkload raw_workload = MakeRawWorkload();
 
-  const std::vector<Scenario> scenarios = {
-      {"single x1", 1, /*batched=*/false, /*with_writer=*/false},
-      {"batch x1", 1, true, false},
-      {"batch x2", 2, true, false},
-      {"batch x4", 4, true, false},
-      {"batch x8", 8, true, false},
-      {"batch x8 + writer", 8, true, true},
-      {"batch x8 + refresh", 8, true, false, /*with_refresh=*/true},
-      {"hot x1", 1, false, false, false, /*cached=*/false, /*hot=*/true},
-      {"hot x1 cached", 1, false, false, false, /*cached=*/true, /*hot=*/true},
-      {"compiled batch", 1, /*batched=*/true, false, false, /*cached=*/false,
-       /*hot=*/true},
+  using Path = Scenario::Path;
+  std::vector<Row> rows = {
+      {{"single x1", 1}},
+      {{"degraded x1", 1, false, false, false, /*degraded=*/true}},
+      {{"batch x1", 1, /*batched=*/true}},
+      {{"batch x2", 2, true}},
+      {{"batch x4", 4, true}},
+      {{"batch x8", 8, true}},
+      {{"batch x8 + writer", 8, true, /*with_writer=*/true}},
+      {{"batch x8 + refresh", 8, true, false, /*with_refresh=*/true}},
+      {{"termwalk x1", 1, false, false, false, false, Path::kTermWalk}},
+      {{"compiled x1", 1, false, false, false, false, Path::kCompiled}},
   };
+  const Row& single = rows[0];
+  const Row& degraded = rows[1];
+  const Row& batch1 = rows[2];
+  const Row& batch8 = rows[5];
+  const Row& termwalk = rows[8];
+  const Row& compiled = rows[9];
 
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned effective_hw = hw == 0 ? 1 : hw;
 
-  std::printf("micro_runtime: %zu requests, batch size %zu, best of %zu "
-              "reps, %u hardware threads%s\n\n",
-              n, kBatch, reps, effective_hw, smoke ? " [smoke]" : "");
+  std::printf("micro_runtime: %zu-request workload, batch size %zu, %d reps "
+              "of %lld ms per row, %u hardware threads%s\n\n",
+              kChunks * kBatch, kBatch, kReps,
+              static_cast<long long>(
+                  std::chrono::duration_cast<std::chrono::milliseconds>(window)
+                      .count()),
+              effective_hw, smoke ? " [smoke]" : "");
 
-  TextTable table({"scenario", "requests/s", "p50 (us)", "p99 (us)",
-                   "rmw/req", "refreshes", "cache hits"});
-  std::vector<Result> results;
-  for (const Scenario& scenario : scenarios) {
-    results.push_back(
-        RunBestOf(scenario, scenario.hot ? hot_requests : requests, reps));
-    const Result& r = results.back();
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (Row& row : rows) {
+      row.reps.push_back(
+          row.scenario.path == Path::kService
+              ? RunService(row.scenario, chunks, window)
+              : RunRaw(row.scenario, raw_model, raw_workload, window));
+    }
+  }
+
+  TextTable table({"scenario", "requests/s", "min", "max", "cpu ns/req",
+                   "overlap", "rmw/req", "refreshes"});
+  for (const Row& row : rows) {
+    const Spread qps = row.Of(&Result::qps);
     const bool oversub =
-        static_cast<unsigned>(r.scenario.threads) > effective_hw;
-    table.AddRow({r.scenario.name + (oversub ? " *" : ""),
-                  Format("%.0f", r.qps),
-                  Format("%.2f", r.p50_us), Format("%.2f", r.p99_us),
-                  Format("%.2f", r.rmw_per_request),
-                  Format("%llu", static_cast<unsigned long long>(r.refreshes)),
-                  Format("%llu",
-                         static_cast<unsigned long long>(r.cache_hits))});
+        static_cast<unsigned>(row.scenario.threads) > effective_hw;
+    table.AddRow({row.scenario.name + (oversub ? " *" : ""),
+                  Format("%.0f", qps.median), Format("%.0f", qps.min),
+                  Format("%.0f", qps.max),
+                  Format("%.1f", row.Of(&Result::cpu_ns_per_request).median),
+                  Format("%.2f", row.Of(&Result::overlap).median),
+                  Format("%.3f", row.Of(&Result::rmw_per_request).max),
+                  Format("%.0f", row.Of(&Result::refreshes).median)});
   }
-
-  // Degraded serving overhead, measured *paired*: healthy and degraded
-  // single-thread runs alternate rep by rep so run-order effects — cache
-  // warmth, frequency scaling, background noise — land on both sides
-  // equally. Measuring the degraded run half a bench after its healthy
-  // baseline once committed a nonsensical 0.753x "overhead" (degraded
-  // apparently faster); the pairing removes that artifact.
-  const Scenario degraded_single{"degraded x1", 1, false, false, false,
-                                 false, false, /*degraded=*/true};
-  Result paired_healthy = Run(scenarios[0], requests);
-  Result paired_degraded = Run(degraded_single, requests);
-  for (size_t r = 1; r < std::max<size_t>(reps, 2); ++r) {
-    Result h = Run(scenarios[0], requests);
-    Result d = Run(degraded_single, requests);
-    if (h.qps > paired_healthy.qps) paired_healthy = h;
-    if (d.qps > paired_degraded.qps) paired_degraded = d;
-  }
-  results.push_back(paired_degraded);
-  {
-    const Result& r = results.back();
-    table.AddRow({r.scenario.name, Format("%.0f", r.qps),
-                  Format("%.2f", r.p50_us), Format("%.2f", r.p99_us),
-                  Format("%.2f", r.rmw_per_request), "0",
-                  Format("%llu",
-                         static_cast<unsigned long long>(r.cache_hits))});
-  }
-
-  // Raw-model hot loops (no service, no cache): the serving representation
-  // head to head. No per-call latency histogram here — only throughput.
-  const core::CostModel raw_model =
-      MakeModel(core::QueryClassId::kUnarySeqScan, 1);
-  const RawWorkload raw_workload = MakeRawWorkload();
-  for (const bool compiled : {false, true}) {
-    results.push_back(
-        RunRawBestOf(raw_model, raw_workload, compiled, n, reps));
-    const Result& r = results.back();
-    table.AddRow({r.scenario.name, Format("%.0f", r.qps), "-", "-", "0.00",
-                  "0", "0"});
-  }
-
-  // Fleet-scale churn scenario, appended after the fixed-index scenarios so
-  // results[0..12] keep their positions.
-  const FleetOutcome fleet = RunFleetScenario(smoke);
-  results.push_back(fleet.result);
-  table.AddRow({fleet.result.scenario.name, Format("%.0f", fleet.result.qps),
-                "-", "-", "-",
-                "0",
-                Format("%llu",
-                       static_cast<unsigned long long>(fleet.cache_hits))});
   std::printf("%s\n", table.Render().c_str());
   if (8u > effective_hw) {
     std::printf("* oversubscribed: more reader threads than the machine's %u "
@@ -1054,50 +846,49 @@ int main(int argc, char** argv) {
   // in observations, so the same size in smoke and full mode.
   const AdaptationDuelOutcome duel = RunAdaptationDuel();
 
-  const double single_qps = results[0].qps;
-  const double batch1_qps = results[1].qps;
-  const double batch8_qps = results[4].qps;
-  const double hot_qps = results[7].qps;
-  const double hot_cached_qps = results[8].qps;
-  const double degraded_qps = results[10].qps;
-  const double termwalk_qps = results[11].qps;
-  const double compiled_qps = results[12].qps;
-  // Healthy baseline from the *paired* reps, not results[0] — see the
-  // comment at the paired measurement above.
-  const double degraded_overhead = paired_healthy.qps / degraded_qps;
+  const auto median_qps = [](const Row& row) {
+    return row.Of(&Result::qps).median;
+  };
+  const double batch_amortization = median_qps(batch1) / median_qps(single);
+  const double degraded_overhead = PairedCpuRatio(degraded, single);
+  const double compiled_speedup = median_qps(compiled) / median_qps(termwalk);
+  const double single_rmw = single.Of(&Result::rmw_per_request).max;
+  const double batch1_rmw = batch1.Of(&Result::rmw_per_request).max;
 
   // Honest scaling: the largest measured batch thread count that fits the
-  // machine (batch x1/x2/x4/x8 sit at results[1..4]). With one hardware
-  // thread this degenerates to 1.00x by construction — which is the honest
+  // machine (batch x1/x2/x4/x8 sit at rows[2..5]). With one hardware thread
+  // this degenerates to batch x1 by construction — which is the honest
   // answer: this box cannot measure scale-out.
   const bool scaling_oversubscribed = 8u > effective_hw;
-  size_t honest_index = 1;
-  for (size_t i = 2; i <= 4; ++i) {
-    if (static_cast<unsigned>(results[i].scenario.threads) <= effective_hw) {
-      honest_index = i;
+  const Row* honest = &batch1;
+  for (size_t i = 3; i <= 5; ++i) {
+    if (static_cast<unsigned>(rows[i].scenario.threads) <= effective_hw) {
+      honest = &rows[i];
     }
   }
-  const int honest_threads = results[honest_index].scenario.threads;
-  const double honest_scaling = results[honest_index].qps / batch1_qps;
+  const int honest_threads = honest->scenario.threads;
+  const double honest_scaling = median_qps(*honest) / median_qps(batch1);
+  const double honest_overlap = honest->Of(&Result::overlap).median;
+  const double honest_cpu_growth = PairedCpuRatio(*honest, batch1);
 
   std::printf("batch amortization (batch x1 / single x1): %.2fx\n",
-              batch1_qps / single_qps);
+              batch_amortization);
   std::printf("thread scaling (batch x8 / batch x1):      %.2fx%s\n",
-              batch8_qps / batch1_qps,
+              median_qps(batch8) / median_qps(batch1),
               scaling_oversubscribed ? "  [oversubscribed — see *]" : "");
-  std::printf("thread scaling honest (batch x%d / x1):     %.2fx\n",
-              honest_threads, honest_scaling);
-  std::printf("cached hot loop (hot cached / hot):        %.2fx\n",
-              hot_cached_qps / hot_qps);
+  std::printf("thread scaling honest (batch x%d / x1):     %.2fx "
+              "(overlap %.2f)\n",
+              honest_threads, honest_scaling, honest_overlap);
+  std::printf("cpu per request (batch x%d / x1):           %.2fx (want <= "
+              "1.5)\n",
+              honest_threads, honest_cpu_growth);
   std::printf("compiled hot loop (compiled / termwalk):   %.2fx\n",
-              compiled_qps / termwalk_qps);
-  std::printf("degraded serving (paired healthy/degraded):%.2fx overhead\n",
+              compiled_speedup);
+  std::printf("degraded serving (paired, cpu per request):%.2fx overhead\n",
               degraded_overhead);
-  std::printf("cached hot path shared RMWs per request:   %.3f (want 0)\n",
-              results[8].rmw_per_request);
   std::printf("uncached single/batch RMWs per request:    %.3f / %.3f "
               "(want 0)\n",
-              results[0].rmw_per_request, results[1].rmw_per_request);
+              single_rmw, batch1_rmw);
   std::printf("placement wrong-site rate point/expected:  %.3f / %.3f "
               "(%llu trials)\n",
               jitter.wrong_point_rate, jitter.wrong_expected_rate,
@@ -1111,37 +902,24 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(duel.rls_observations),
               static_cast<unsigned long long>(duel.rederive_observations),
               duel.convergence_ratio_x, duel.probe_savings_x);
-  std::printf("fleet churn (%zu sites, %llu cycles):      %.0f req/s, "
-              "conservation %s, retirement %s, serving %s\n",
-              fleet.sites,
-              static_cast<unsigned long long>(fleet.churn_cycles),
-              fleet.result.qps, fleet.conservation_ok ? "ok" : "VIOLATED",
-              fleet.retirement_ok ? "ok" : "VIOLATED",
-              fleet.serving_ok ? "ok" : "BROKEN");
 
   if (smoke) {
     bool fail = false;
-    if (results[8].rmw_per_request != 0.0) {
-      std::printf("\nSMOKE FAIL: cached hot path performed %.3f shared "
-                  "atomic RMWs per request; the epoch read path + per-thread "
-                  "cache/counters should make it exactly 0\n",
-                  results[8].rmw_per_request);
-      fail = true;
-    }
     // The uncached rungs: a miss reads its site's seqlocked cell under the
-    // epoch-published view, so it too performs loads only.
-    for (const Result* r : {&results[0], &results[1]}) {
-      if (r->rmw_per_request != 0.0) {
+    // epoch-published view, so it performs loads only.
+    for (const Row* row : {&single, &batch1}) {
+      const double rmw = row->Of(&Result::rmw_per_request).max;
+      if (rmw != 0.0) {
         std::printf("\nSMOKE FAIL: uncached %s performed %.3f shared atomic "
                     "RMWs per request; the seqlocked site cell and the "
                     "epoch-read view should make it exactly 0\n",
-                    r->scenario.name.c_str(), r->rmw_per_request);
+                    row->scenario.name.c_str(), rmw);
         fail = true;
       }
     }
     if (!(degraded_overhead >= 0.8)) {
-      std::printf("\nSMOKE FAIL: degraded_overhead_x %.3f — the healthy / "
-                  "degraded ratio should sit near or above 1.0; well below "
+      std::printf("\nSMOKE FAIL: degraded_overhead_x %.3f — the degraded / "
+                  "healthy cost ratio should sit near or above 1.0; well below "
                   "means the ratio inverted or the paired measurement "
                   "broke\n",
                   degraded_overhead);
@@ -1177,85 +955,77 @@ int main(int argc, char** argv) {
                   duel.convergence_ratio_x);
       fail = true;
     }
-    if (!fleet.conservation_ok || !fleet.retirement_ok || !fleet.serving_ok ||
-        fleet.churn_cycles == 0) {
-      std::printf("\nSMOKE FAIL: fleet churn scenario broke a lifecycle "
-                  "invariant (conservation %s, retirement %s, serving %s, "
-                  "%llu churn cycles) — site churn corrupted stats or left "
-                  "the fleet unable to serve\n",
-                  fleet.conservation_ok ? "ok" : "VIOLATED",
-                  fleet.retirement_ok ? "ok" : "VIOLATED",
-                  fleet.serving_ok ? "ok" : "BROKEN",
-                  static_cast<unsigned long long>(fleet.churn_cycles));
-      fail = true;
-    }
-    if (effective_hw > 1 && !(honest_scaling >= 1.05)) {
-      std::printf("\nSMOKE FAIL: thread_scaling_honest_x %.2f at %d threads "
-                  "on a %u-thread machine — the sharded estimate path "
-                  "stopped scaling across real cores\n",
-                  honest_scaling, honest_threads, effective_hw);
+    if (effective_hw > 1 && !(honest_cpu_growth <= 1.5)) {
+      std::printf("\nSMOKE FAIL: a request at batch x%d cost %.2fx the CPU "
+                  "it costs at batch x1 on a %u-thread machine — readers "
+                  "sharing the service made each request dearer (shared "
+                  "cache lines on the estimate path)\n",
+                  honest_threads, honest_cpu_growth, effective_hw);
       fail = true;
     }
     if (fail) return 1;
-    std::printf("\nsmoke ok: %zu requests/scenario, cached hot path and "
-                "uncached single/batch served with zero shared atomic RMWs, "
-                "degraded overhead %.2fx, "
-                "expected-cost wrong-site %.3f < point %.3f, drift recovery "
-                "%.1fx fewer observations via RLS\n",
-                n, degraded_overhead, jitter.wrong_expected_rate,
-                jitter.wrong_point_rate, duel.convergence_ratio_x);
+    std::printf("\nsmoke ok: uncached single/batch served with zero shared "
+                "atomic RMWs, cpu per request x%d/x1 %.2fx, degraded "
+                "overhead %.2fx, expected-cost wrong-site %.3f < point "
+                "%.3f, drift recovery %.1fx fewer observations via RLS\n",
+                honest_threads, honest_cpu_growth, degraded_overhead,
+                jitter.wrong_expected_rate, jitter.wrong_point_rate,
+                duel.convergence_ratio_x);
     return 0;  // no JSON in smoke mode — numbers from a tiny run mislead
   }
 
   FILE* json = std::fopen("BENCH_runtime.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"bench\": \"micro_runtime\",\n");
-    std::fprintf(json, "  \"requests\": %zu,\n  \"batch_size\": %zu,\n",
-                 n, kBatch);
-    std::fprintf(json, "  \"hardware_threads\": %u,\n", hw);
-    std::fprintf(json, "  \"effective_hardware_threads\": %u,\n",
-                 effective_hw);
+    std::fprintf(json, "  %s,\n", bench::MachineJsonFields().c_str());
+    std::fprintf(json,
+                 "  \"workload_requests\": %zu,\n  \"batch_size\": %zu,\n",
+                 kChunks * kBatch, kBatch);
+    std::fprintf(json, "  \"reps\": %d,\n  \"window_seconds\": %.3f,\n",
+                 kReps, std::chrono::duration<double>(window).count());
     std::fprintf(json, "  \"scenarios\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const Result& r = results[i];
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Row& row = rows[i];
+      const Scenario& s = row.scenario;
+      const Spread qps = row.Of(&Result::qps);
       std::fprintf(json,
                    "    {\"name\": \"%s\", \"threads\": %d, \"batched\": %s, "
-                   "\"writer\": %s, \"refresh\": %s, \"cached\": %s, "
-                   "\"degraded\": %s, \"oversubscribed\": %s, "
-                   "\"qps\": %.0f, \"p50_us\": %.3f, \"p99_us\": %.3f, "
+                   "\"writer\": %s, \"refresh\": %s, \"degraded\": %s, "
+                   "\"oversubscribed\": %s, \"qps\": %.0f, "
+                   "\"qps_min\": %.0f, \"qps_max\": %.0f, "
+                   "\"cpu_ns_per_request\": %.2f, \"overlap\": %.3f, "
                    "\"shared_rmw_per_request\": %.3f, "
-                   "\"refreshes\": %llu, \"cache_hits\": %llu}%s\n",
-                   r.scenario.name.c_str(), r.scenario.threads,
-                   r.scenario.batched ? "true" : "false",
-                   r.scenario.with_writer ? "true" : "false",
-                   r.scenario.with_refresh ? "true" : "false",
-                   r.scenario.cached ? "true" : "false",
-                   r.scenario.degraded ? "true" : "false",
-                   static_cast<unsigned>(r.scenario.threads) > effective_hw
-                       ? "true"
-                       : "false",
-                   r.qps, r.p50_us, r.p99_us, r.rmw_per_request,
-                   static_cast<unsigned long long>(r.refreshes),
-                   static_cast<unsigned long long>(r.cache_hits),
-                   i + 1 < results.size() ? "," : "");
+                   "\"refreshes\": %.0f}%s\n",
+                   s.name.c_str(), s.threads, s.batched ? "true" : "false",
+                   s.with_writer ? "true" : "false",
+                   s.with_refresh ? "true" : "false",
+                   s.degraded ? "true" : "false",
+                   static_cast<unsigned>(s.threads) > effective_hw ? "true"
+                                                                   : "false",
+                   qps.median, qps.min, qps.max,
+                   row.Of(&Result::cpu_ns_per_request).median,
+                   row.Of(&Result::overlap).median,
+                   row.Of(&Result::rmw_per_request).max,
+                   row.Of(&Result::refreshes).median,
+                   i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json, "  \"batch_amortization_x\": %.3f,\n",
-                 batch1_qps / single_qps);
+                 batch_amortization);
     std::fprintf(json, "  \"thread_scaling_8t_x\": %.3f,\n",
-                 batch8_qps / batch1_qps);
+                 median_qps(batch8) / median_qps(batch1));
     std::fprintf(json, "  \"thread_scaling_8t_oversubscribed\": %s,\n",
                  scaling_oversubscribed ? "true" : "false");
     std::fprintf(json, "  \"thread_scaling_honest_threads\": %d,\n",
                  honest_threads);
     std::fprintf(json, "  \"thread_scaling_honest_x\": %.3f,\n",
                  honest_scaling);
-    std::fprintf(json, "  \"cached_hot_shared_rmw_per_request\": %.3f,\n",
-                 results[8].rmw_per_request);
-    std::fprintf(json, "  \"cached_hot_loop_speedup_x\": %.3f,\n",
-                 hot_cached_qps / hot_qps);
+    std::fprintf(json, "  \"thread_scaling_honest_overlap\": %.3f,\n",
+                 honest_overlap);
+    std::fprintf(json, "  \"cpu_per_request_honest_over_x1\": %.3f,\n",
+                 honest_cpu_growth);
     std::fprintf(json, "  \"compiled_hot_loop_speedup_x\": %.3f,\n",
-                 compiled_qps / termwalk_qps);
+                 compiled_speedup);
     std::fprintf(json, "  \"degraded_overhead_x\": %.3f,\n",
                  degraded_overhead);
     std::fprintf(json, "  \"placement_trials\": %llu,\n",
@@ -1278,20 +1048,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(duel.rederive_probe_draws));
     std::fprintf(json, "  \"adaptation_convergence_ratio_x\": %.3f,\n",
                  duel.convergence_ratio_x);
-    std::fprintf(json, "  \"adaptation_probe_savings_x\": %.3f,\n",
+    std::fprintf(json, "  \"adaptation_probe_savings_x\": %.3f\n",
                  duel.probe_savings_x);
-    std::fprintf(json, "  \"fleet_sites\": %zu,\n", fleet.sites);
-    std::fprintf(json, "  \"fleet_qps\": %.0f,\n", fleet.result.qps);
-    std::fprintf(json, "  \"fleet_churn_cycles\": %llu,\n",
-                 static_cast<unsigned long long>(fleet.churn_cycles));
-    std::fprintf(json, "  \"fleet_cache_hits\": %llu,\n",
-                 static_cast<unsigned long long>(fleet.cache_hits));
-    std::fprintf(json, "  \"fleet_conservation_ok\": %s,\n",
-                 fleet.conservation_ok ? "true" : "false");
-    std::fprintf(json, "  \"fleet_retirement_ok\": %s,\n",
-                 fleet.retirement_ok ? "true" : "false");
-    std::fprintf(json, "  \"fleet_serving_ok\": %s\n",
-                 fleet.serving_ok ? "true" : "false");
     std::fprintf(json, "}\n");
     std::fclose(json);
     std::printf("\nwrote BENCH_runtime.json\n");

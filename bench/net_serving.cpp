@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/str_util.h"
 #include "common/text_table.h"
 #include "net/client.h"
@@ -174,6 +175,7 @@ int main() {
   FILE* json = std::fopen("BENCH_net.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"bench\": \"net_serving\",\n");
+    std::fprintf(json, "  %s,\n", bench::MachineJsonFields().c_str());
     std::fprintf(json, "  \"seconds_per_scenario\": %.2f,\n", seconds);
     std::fprintf(json, "  \"open_loop_rate\": %.0f,\n", rate);
     std::fprintf(json, "  \"scenarios\": [\n");

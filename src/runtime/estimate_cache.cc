@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <functional>
 
 #include "runtime/rmw_probe.h"
@@ -27,14 +26,6 @@ uint64_t Mix(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint64_t QuantizeFeature(double f, double quantum) {
-  if (quantum > 0.0) {
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(std::llround(f / quantum)));
-  }
-  return std::bit_cast<uint64_t>(f);
-}
-
 // Finalizer (murmur3 fmix64): FNV-1a's closing multiply leaves the low bits
 // poorly diffused, and the slot index comes from the low bits — without this,
 // near-identical feature vectors cluster into the same slots and thrash.
@@ -53,7 +44,6 @@ EstimateCache::EstimateCache(const EstimateCacheConfig& config) {
   if (config.capacity_per_thread == 0) return;
   slots_per_thread_ = NextPow2(std::max<size_t>(1, config.capacity_per_thread));
   slot_mask_ = slots_per_thread_ - 1;
-  feature_quantum_ = config.feature_quantum;
 }
 
 EstimateCache::~EstimateCache() {
@@ -76,7 +66,7 @@ uint64_t EstimateCache::Hash(const std::string& site, int class_id,
   uint64_t h = 1469598103934665603ull;  // FNV offset basis
   h = Mix(h, std::hash<std::string>{}(site));
   h = Mix(h, static_cast<uint64_t>(class_id));
-  for (double f : features) h = Mix(h, QuantizeFeature(f, feature_quantum_));
+  for (double f : features) h = Mix(h, std::bit_cast<uint64_t>(f));
   return Avalanche(h);
 }
 
@@ -88,7 +78,7 @@ bool EstimateCache::KeyMatches(const Slot& slot, uint64_t hash,
     return false;
   }
   for (size_t j = 0; j < features.size(); ++j) {
-    const uint64_t bits = QuantizeFeature(features[j], feature_quantum_);
+    const uint64_t bits = std::bit_cast<uint64_t>(features[j]);
     if (slot.feature_bits[j] != bits) return false;
   }
   return true;
@@ -175,7 +165,7 @@ void EstimateCache::Insert(uint64_t hash, const std::string& site,
   slot.site = site;
   slot.feature_bits.resize(features.size());
   for (size_t j = 0; j < features.size(); ++j) {
-    slot.feature_bits[j] = QuantizeFeature(features[j], feature_quantum_);
+    slot.feature_bits[j] = std::bit_cast<uint64_t>(features[j]);
   }
   slot.response = response;
 }

@@ -4,11 +4,12 @@
 // variable, i.e. through StateOf(probing_cost). So a response stays exactly
 // correct for as long as (a) the catalog that priced it is still the
 // published one and (b) the site's probing cost still maps to the same state
-// under that model. The cache keys on (site, class, quantized features,
-// catalog epoch) and validates (b) per hit with two lock-free loads from the
-// site's SiteCell (where its ContentionTracker publishes): the state version,
-// and the published probing cost checked against the state's own partition
-// interval. No clock reads, no snapshot acquisition, no model walk on a hit.
+// under that model. The cache keys on (site, class, the features' exact bit
+// patterns, catalog epoch) and validates (b) per hit with two lock-free
+// loads from the site's SiteCell (where its ContentionTracker publishes):
+// the state version, and the published probing cost checked against the
+// state's own partition interval. No clock reads, no snapshot acquisition,
+// no model walk on a hit.
 //
 // Concurrency: the table is sharded per thread — each live thread
 // (ThreadRegistry slot) owns a private slot array that only it reads or
@@ -52,11 +53,6 @@ struct EstimateCacheConfig {
   // reinterpretation would have multiplied existing configs' memory by the
   // thread count — renaming makes stale configs fail to compile instead.
   size_t capacity_per_thread = 0;
-  // Feature quantization grid. 0 keys features on their exact bit patterns
-  // (a hit requires identical features — always exact). Positive values key
-  // on round(feature / quantum), trading a bounded feature perturbation for
-  // hits across near-identical feature vectors.
-  double feature_quantum = 0.0;
 };
 
 class EstimateCache {
@@ -151,7 +147,6 @@ class EstimateCache {
 
   size_t slots_per_thread_ = 0;
   uint64_t slot_mask_ = 0;
-  double feature_quantum_ = 0.0;
   // Owner-created (release store), freed only by the destructor.
   std::atomic<Shard*> shards_[ThreadRegistry::kMaxSlots] = {};
   std::atomic<uint64_t> invalidations_{0};

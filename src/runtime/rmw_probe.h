@@ -3,13 +3,16 @@
 // runtime primitive that still performs an RMW on a line another thread may
 // touch (shared_ptr refcount bumps, overflow-shard fetch_adds, mutex
 // fallbacks) calls RmwProbe::Count at that site; per-thread single-writer
-// paths do not. bench/micro_runtime samples Current() around its timed
-// loops to report `shared_rmw_per_request` — the acceptance gate is zero on
-// the cached estimate hot path.
+// paths do not. The tier-1 test
+// EstimationServiceTest.ServingPathsAreZeroSharedRmw samples Current()
+// around warm cache hits and uncached misses, single and batched, and
+// requires a zero delta; bench/micro_runtime reports
+// `shared_rmw_per_request` per row and its --smoke gate requires zero on
+// single x1 and batch x1.
 //
 // This is bookkeeping, not detection: it counts the sites we know about.
-// Its value is that the hot path is audited — a new RMW sneaking into the
-// estimate path shows up as a nonzero bench counter.
+// Its value is that the serving path is audited — a new RMW sneaking into
+// it fails that test and the smoke gate.
 
 #ifndef MSCM_RUNTIME_RMW_PROBE_H_
 #define MSCM_RUNTIME_RMW_PROBE_H_

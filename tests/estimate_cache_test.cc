@@ -500,19 +500,6 @@ TEST_F(EstimateCacheUnitTest, InvalidateSiteEvictsOnlyThatSite) {
   EXPECT_EQ(cache_->invalidations(), 3u);
 }
 
-TEST_F(EstimateCacheUnitTest, FeatureQuantizationSharesNearbyKeys) {
-  EstimateCacheConfig config;
-  config.capacity_per_thread = 64;
-  config.feature_quantum = 0.01;
-  EstimateCache cache(config);
-  ASSERT_TRUE(tracker_->ProbeOnce());
-  Insert(cache, "a", 0, {1.000}, 7, Context(0.0, 1.0), OkResponse(6.0));
-
-  EstimateResponse response;
-  EXPECT_TRUE(Lookup(cache, "a", 0, {1.002}, 7, &response));  // same grid cell
-  EXPECT_FALSE(Lookup(cache, "a", 0, {1.02}, 7, &response));  // different cell
-}
-
 // Concurrent hammer: estimate threads against state flips, model re-
 // registrations and stale-flag flips. Run under tsan/asan (tier-2) to verify
 // the lock-free validity protocol and eviction paths.

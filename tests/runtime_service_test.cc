@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "runtime/clock.h"
+#include "runtime/rmw_probe.h"
 #include "tests/test_util.h"
 
 namespace mscm::runtime {
@@ -540,6 +541,46 @@ TEST(EstimationServiceTest, CacheHitsFeedTheLatencyHistogram) {
   // tick's phase, so the recorded count covers the hits to within one
   // sampling period.
   EXPECT_GE(stats.estimate_latency.count + 64, stats.estimate_cache_hits);
+}
+
+// The serving paths' shared-nothing contract: once a thread is warm (registry
+// slot, counter shard, histogram stripe, cache shard), pricing a request —
+// a cache hit, or a miss through the site's seqlocked cell under the
+// epoch-published view — performs no shared atomic read-modify-write.
+TEST(EstimationServiceTest, ServingPathsAreZeroSharedRmw) {
+  const auto cls = QueryClassId::kUnarySeqScan;
+  for (const size_t capacity : {size_t{4096}, size_t{0}}) {
+    SCOPED_TRACE(capacity > 0 ? "cache on (hits)" : "cache off (misses)");
+    EstimationServiceConfig config;
+    config.probe_ttl = std::chrono::hours(1);
+    config.cache.capacity_per_thread = capacity;
+    EstimationService service(config);
+    service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+    service.RegisterSite("a", [] { return 0.5; });
+    ASSERT_TRUE(service.ProbeNow("a"));
+
+    std::vector<EstimateRequest> batch;
+    for (int i = 0; i < 64; ++i) batch.push_back(Request("a", cls, 1.0 + i));
+    for (const EstimateRequest& request : batch) {
+      ASSERT_TRUE(service.Estimate(request).ok());
+    }
+    service.EstimateBatch(batch);
+
+    const uint64_t single_before = RmwProbe::Current();
+    for (int i = 0; i < 1000; ++i) service.Estimate(batch[i % batch.size()]);
+    EXPECT_EQ(RmwProbe::Current(), single_before);
+
+    const uint64_t batch_before = RmwProbe::Current();
+    for (int i = 0; i < 10; ++i) service.EstimateBatch(batch);
+    EXPECT_EQ(RmwProbe::Current(), batch_before);
+
+    const RuntimeStatsSnapshot stats = service.Stats();
+    if (capacity > 0) {
+      EXPECT_GE(stats.estimate_cache_hits, 1000u + 10u * batch.size());
+    } else {
+      EXPECT_EQ(stats.estimate_cache_hits, 0u);
+    }
+  }
 }
 
 }  // namespace
